@@ -242,7 +242,6 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
       if (threads > 1) {
         agg::ThreadPool pool(threads);
         agg::AggregatorWorkspace pooled_ws;
-        pooled_ws.parallel_threads = threads;
         pooled_ws.pool = &pool;
         BenchResult pooled{std::string(name), "pooled", "f64", n, d, f, 0.0, 0};
         pooled.ns_per_op = min_ns_per_op(

@@ -235,7 +235,6 @@ int run(bool quick, const std::string& out_path, int threads) {
       cmp.coreset_rows = k + f;
 
       agg::AggregatorWorkspace cs_ws;
-      cs_ws.parallel_threads = std::max(1, threads);
       cs_ws.pool = &pool;
       Vector cs_out;
       reducer.aggregate_into(cs_out, batch, f, cs_ws);  // untimed: warm allocation
@@ -272,7 +271,6 @@ int run(bool quick, const std::string& out_path, int threads) {
       agg::AggregatorWorkspace f32_ws;
       f32_ws.mode = agg::AggMode::fast;
       f32_ws.precision = agg::Precision::f32;
-      f32_ws.parallel_threads = std::max(1, threads);
       f32_ws.pool = &pool;
       Vector f32_out;
       reducer.aggregate_into(f32_out, batch, f, f32_ws);  // untimed: warm allocation
@@ -333,7 +331,6 @@ int run(bool quick, const std::string& out_path, int threads) {
                 << static_cast<long>(sm_result.ns_per_op) << " ns/op";
 
       agg::AggregatorWorkspace hier_ws;
-      hier_ws.parallel_threads = std::max(1, threads);
       hier_ws.pool = &pool;
       Vector hier_out;
       hier.aggregate_into(hier_out, batch, f, hier_ws);

@@ -190,7 +190,6 @@ int run(bool quick, const std::string& out_path, int threads) {
       cmp.bounds = bounds;
 
       agg::AggregatorWorkspace hier_ws;
-      hier_ws.parallel_threads = std::max(1, threads);
       hier_ws.pool = &pool;
       Vector hier_out;
       hier.aggregate_into(hier_out, batch, f, hier_ws);  // untimed: drift + allocation

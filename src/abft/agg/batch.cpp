@@ -1,20 +1,20 @@
 #include "abft/agg/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
+#include "abft/agg/simd_util.hpp"
 #include "abft/util/check.hpp"
 
 namespace abft::agg {
 
 namespace {
 
-/// Tile width of the Gram accumulation: row segments of kChunk doubles stay
+/// Tile width of the Gram accumulation: row segments of kChunk elements stay
 /// L2-resident across the O(n^2) pair sweep, so the whole batch streams from
 /// memory once instead of once per pair.
 constexpr int kChunk = 1024;
@@ -26,25 +26,38 @@ std::size_t pair_row_start(int i, int n) {
   return static_cast<std::size_t>(i) * (2 * static_cast<std::size_t>(n) - i - 1) / 2;
 }
 
+/// Row i of a row-major n x d buffer.
+template <typename T>
+T* row_ptr(T* rows, int i, int d) {
+  return rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+}
+
 /// Accumulates partial dot products <row_i, row_j> over the full chunk
 /// [k0, k0 + kChunk) into the packed triangle of `pairdist` for i in
-/// [i_begin, i_end), j > i.  The fixed-size lane array makes the inner
-/// product vectorizable without -ffast-math (each lane is an independent
-/// partial sum), and the compile-time k extent is what lets the compiler
-/// schedule the vector loop well — a runtime bound here costs ~3x.
-void accumulate_pair_dots_chunk(const GradientBatch& batch, double* pairdist, int n,
-                                int i_begin, int i_end, int k0) {
-  constexpr int kLanes = 8;
+/// [i_begin, i_end), j > i.  The fixed-size lane array (one 512-bit vector
+/// of T) makes the inner product vectorizable without -ffast-math (each lane
+/// is an independent partial sum), and the compile-time k extent is what
+/// lets the compiler schedule the vector loop well — a runtime bound here
+/// costs ~3x.  Lanes, the cross-lane dot and the packed triangle all stay in
+/// T: for float each lane sums kChunk / 16 = 64 products, far inside the f32
+/// tolerance envelopes.
+///
+/// Kept out of line: inlined into the dispatch lambda, GCC 12 schedules this
+/// fixed-extent loop about 1.3x slower (exact mode, 50 x 4096 rows).
+template <typename T>
+[[gnu::noinline]] void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d,
+                                                  int i_begin, int i_end, int k0) {
+  constexpr int kLanes = detail::kLanes<T>;
   for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
+    const T* ri = row_ptr(rows, i, d);
+    T* prow = pairdist + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      double lanes[kLanes] = {0.0};
+      const T* rj = row_ptr(rows, j, d);
+      T lanes[kLanes] = {};
       for (int k = k0; k < k0 + kChunk; k += kLanes) {
         for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
       }
-      double dot = 0.0;
+      T dot = 0;
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
       prow[j - i - 1] += dot;
     }
@@ -52,20 +65,21 @@ void accumulate_pair_dots_chunk(const GradientBatch& batch, double* pairdist, in
 }
 
 /// Runtime-bound variant for the final partial chunk [k0, k1).
-void accumulate_pair_dots_tail(const GradientBatch& batch, double* pairdist, int n,
-                               int i_begin, int i_end, int k0, int k1) {
-  constexpr int kLanes = 8;
+template <typename T>
+void accumulate_pair_dots_tail(const T* rows, T* pairdist, int n, int d, int i_begin,
+                               int i_end, int k0, int k1) {
+  constexpr int kLanes = detail::kLanes<T>;
   for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
+    const T* ri = row_ptr(rows, i, d);
+    T* prow = pairdist + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      double lanes[kLanes] = {0.0};
+      const T* rj = row_ptr(rows, j, d);
+      T lanes[kLanes] = {};
       int k = k0;
       for (; k + kLanes <= k1; k += kLanes) {
         for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
       }
-      double dot = 0.0;
+      T dot = 0;
       for (; k < k1; ++k) dot += ri[k] * rj[k];
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
       prow[j - i - 1] += dot;
@@ -73,161 +87,137 @@ void accumulate_pair_dots_tail(const GradientBatch& batch, double* pairdist, int
   }
 }
 
-/// f32-lane full-chunk kernel: same chunk walk over the demoted rows, 16
-/// float lanes (one 512-bit vector) per group.  Lane accumulation stays in
-/// float — each lane sums kChunk / 16 = 64 products, far inside the f32
-/// tolerance envelopes — and the cross-lane reduction widens to float dot,
-/// accumulated across chunks in the f32 packed triangle.
-void accumulate_pair_dots_chunk_f32(const float* rows, float* pairdist, int n, int d,
-                                    int i_begin, int i_end, int k0) {
-  constexpr int kLanes = 16;
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      for (int k = k0; k < k0 + kChunk; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      float dot = 0.0f;
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
-
-/// f32-lane runtime-bound variant for the final partial chunk [k0, k1).
-void accumulate_pair_dots_tail_f32(const float* rows, float* pairdist, int n, int d,
-                                   int i_begin, int i_end, int k0, int k1) {
-  constexpr int kLanes = 16;
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      int k = k0;
-      for (; k + kLanes <= k1; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      float dot = 0.0f;
-      for (; k < k1; ++k) dot += ri[k] * rj[k];
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
-
-#if defined(__AVX512F__)
+#if defined(ABFT_AVX512)
 /// Relaxed-parity (AggMode::fast) AVX-512 variant of the full-chunk kernel:
-/// four independent zmm FMA accumulators (32 partial sums) cover the FMA
-/// latency chain, roughly doubling throughput over the auto-vectorized
-/// 8-lane scalar kernel.  The horizontal reduction order differs from the
-/// exact kernel's sequential lane sum, so this path is fast-mode only.
-void accumulate_pair_dots_chunk_avx512(const GradientBatch& batch, double* pairdist, int n,
-                                       int i_begin, int i_end, int k0) {
-  static_assert(kChunk % 32 == 0, "avx512 gram kernel consumes 32 doubles per step");
+/// four independent zmm FMA accumulators cover the FMA latency chain,
+/// roughly doubling throughput over the auto-vectorized lane kernel.  The
+/// horizontal reduction order differs from the exact kernel's sequential
+/// lane sum, so this path is fast-mode only.
+template <typename T>
+void accumulate_pair_dots_chunk_avx512(const T* rows, T* pairdist, int n, int d, int i_begin,
+                                       int i_end, int k0) {
+  using Z = detail::Zmm<T>;
+  constexpr int kL = detail::kLanes<T>;
+  static_assert(kChunk % (4 * kL) == 0, "avx512 gram kernel consumes four vectors per step");
   for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
+    const T* ri = row_ptr(rows, i, d);
+    T* prow = pairdist + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      __m512d acc0 = _mm512_setzero_pd();
-      __m512d acc1 = _mm512_setzero_pd();
-      __m512d acc2 = _mm512_setzero_pd();
-      __m512d acc3 = _mm512_setzero_pd();
-      for (int k = k0; k < k0 + kChunk; k += 32) {
-        acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k), _mm512_loadu_pd(rj + k), acc0);
-        acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 8), _mm512_loadu_pd(rj + k + 8), acc1);
-        acc2 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 16), _mm512_loadu_pd(rj + k + 16), acc2);
-        acc3 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 24), _mm512_loadu_pd(rj + k + 24), acc3);
+      const T* rj = row_ptr(rows, j, d);
+      auto acc0 = Z::zero();
+      auto acc1 = Z::zero();
+      auto acc2 = Z::zero();
+      auto acc3 = Z::zero();
+      for (int k = k0; k < k0 + kChunk; k += 4 * kL) {
+        acc0 = Z::fmadd(Z::load(ri + k), Z::load(rj + k), acc0);
+        acc1 = Z::fmadd(Z::load(ri + k + kL), Z::load(rj + k + kL), acc1);
+        acc2 = Z::fmadd(Z::load(ri + k + 2 * kL), Z::load(rj + k + 2 * kL), acc2);
+        acc3 = Z::fmadd(Z::load(ri + k + 3 * kL), Z::load(rj + k + 3 * kL), acc3);
       }
-      const double dot = _mm512_reduce_add_pd(
-          _mm512_add_pd(_mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3)));
+      const T dot = Z::reduce(Z::add(Z::add(acc0, acc1), Z::add(acc2, acc3)));
       prow[j - i - 1] += dot;
     }
   }
 }
-
-/// f32 AVX-512 full-chunk kernel: four 16-float FMA accumulators (64 partial
-/// sums) — the same latency-covering shape as the f64 variant at half the
-/// memory traffic.  f32 lane only (fast mode by construction).
-void accumulate_pair_dots_chunk_avx512_f32(const float* rows, float* pairdist, int n,
-                                           int d, int i_begin, int i_end, int k0) {
-  static_assert(kChunk % 64 == 0, "avx512 f32 gram kernel consumes 64 floats per step");
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int k = k0; k < k0 + kChunk; k += 64) {
-        acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k), _mm512_loadu_ps(rj + k), acc0);
-        acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 16), _mm512_loadu_ps(rj + k + 16), acc1);
-        acc2 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 32), _mm512_loadu_ps(rj + k + 32), acc2);
-        acc3 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 48), _mm512_loadu_ps(rj + k + 48), acc3);
-      }
-      const float dot = _mm512_reduce_add_ps(
-          _mm512_add_ps(_mm512_add_ps(acc0, acc1), _mm512_add_ps(acc2, acc3)));
-      prow[j - i - 1] += dot;
-    }
-  }
-}
-#endif  // __AVX512F__
-
-/// True when the fast-mode Gram kernel may use AVX-512: compile-time ISA
-/// support AND a runtime CPU check (one cpuid probe, cached), so a binary
-/// built with -march=native on an AVX-512 host degrades safely elsewhere.
-bool gram_avx512_available() {
-#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-  static const bool available = __builtin_cpu_supports("avx512f") != 0;
-  return available;
-#else
-  return false;
-#endif
-}
+#endif  // ABFT_AVX512
 
 /// Walks all d-chunks for rows [i_begin, i_end): full chunks through the
 /// fixed-extent kernel (the AVX-512 variant in fast mode, when the CPU has
 /// it), the remainder through the tail kernel.
-void accumulate_pair_dots(const GradientBatch& batch, double* pairdist, int n, int d,
-                          int i_begin, int i_end, AggMode mode) {
-  const bool use_avx512 = mode == AggMode::fast && gram_avx512_available();
+template <typename T>
+void accumulate_pair_dots(const T* rows, T* pairdist, int n, int d, int i_begin, int i_end,
+                          bool use_avx512) {
   (void)use_avx512;
   int k0 = 0;
   for (; k0 + kChunk <= d; k0 += kChunk) {
-#if defined(__AVX512F__)
+#if defined(ABFT_AVX512)
     if (use_avx512) {
-      accumulate_pair_dots_chunk_avx512(batch, pairdist, n, i_begin, i_end, k0);
+      accumulate_pair_dots_chunk_avx512(rows, pairdist, n, d, i_begin, i_end, k0);
       continue;
     }
 #endif
-    accumulate_pair_dots_chunk(batch, pairdist, n, i_begin, i_end, k0);
+    accumulate_pair_dots_chunk(rows, pairdist, n, d, i_begin, i_end, k0);
   }
-  if (k0 < d) accumulate_pair_dots_tail(batch, pairdist, n, i_begin, i_end, k0, d);
+  if (k0 < d) accumulate_pair_dots_tail(rows, pairdist, n, d, i_begin, i_end, k0, d);
 }
 
-/// f32-lane chunk walker (the lane implies fast mode, so AVX-512 is taken
-/// whenever the CPU has it).
-void accumulate_pair_dots_f32(const float* rows, float* pairdist, int n, int d,
-                              int i_begin, int i_end) {
-  const bool use_avx512 = gram_avx512_available();
-  (void)use_avx512;
-  int k0 = 0;
-  for (; k0 + kChunk <= d; k0 += kChunk) {
-#if defined(__AVX512F__)
-    if (use_avx512) {
-      accumulate_pair_dots_chunk_avx512_f32(rows, pairdist, n, d, i_begin, i_end, k0);
-      continue;
+/// Per-row squared norms, laned in T (lanes, tail and cross-lane sum).
+template <typename T>
+void row_sqnorms(const T* rows, int n, int d, std::vector<T>& out) {
+  constexpr int kLanes = detail::kLanes<T>;
+  out.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const T* r = row_ptr(rows, i, d);
+    T lanes[kLanes] = {};
+    int k = 0;
+    for (; k + kLanes <= d; k += kLanes) {
+      for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
     }
-#endif
-    accumulate_pair_dots_chunk_f32(rows, pairdist, n, d, i_begin, i_end, k0);
+    T sum = 0;
+    for (; k < d; ++k) sum += r[k] * r[k];
+    for (int b = 0; b < kLanes; ++b) sum += lanes[b];
+    out[static_cast<std::size_t>(i)] = sum;
   }
-  if (k0 < d) accumulate_pair_dots_tail_f32(rows, pairdist, n, d, i_begin, i_end, k0, d);
+}
+
+/// Gram fill of the lane-T packed triangle.  Dot products accumulate into
+/// the packed triangle in d-chunks sized so the active rows stay
+/// cache-resident across the O(n^2) pair sweep — the whole batch is read
+/// from memory once instead of once per pair.  The packed layout stores
+/// each unordered pair once: half the matrix memory, no n^2 zero-assign, no
+/// mirror pass.  Pair-level parallelism partitions the i range once per
+/// call (one dispatch, not one per chunk); every packed cell is written by
+/// exactly one thread.
+template <typename T>
+void fill_pairwise_lane(AggregatorWorkspace& ws, const T* rows, int n, int d) {
+  Lane<T>& lane = ws.lane<T>();
+  row_sqnorms(rows, n, d, lane.sqnorms);
+  const std::size_t pairs = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
+  lane.pairdist.assign(pairs, T(0));
+  const bool use_avx512 = ws.mode == AggMode::fast && detail::avx512_available();
+  T* packed = lane.pairdist.data();
+  ws.run_parallel(0, n, [&](int i_begin, int i_end) {
+    accumulate_pair_dots(rows, packed, n, d, i_begin, i_end, use_avx512);
+  });
+  // Convert the accumulated dots to squared distances in place (in double).
+  // The Gram identity cancels catastrophically when gradients share a large
+  // common component (||xi - xj||^2 << ||xi||^2 + ||xj||^2) — exactly the
+  // clustered regime where Krum-family selection matters — so pairs whose
+  // result is small relative to the cancellation scale are recomputed
+  // directly.  On well-separated data no pair trips the guard and nothing is
+  // recomputed.  The f32 guard is wider to match the f32 dot's larger
+  // accumulation error: clustered batches simply take the direct-difference
+  // path, the most accurate result f32 inputs admit.
+  constexpr double kCancellationGuard = std::is_same_v<T, float> ? 1e-3 : 1e-6;
+  constexpr int kLanes = detail::kLanes<T>;
+  const T* sqnorms = lane.sqnorms.data();
+  for (int i = 0; i < n; ++i) {
+    const double sqi = static_cast<double>(sqnorms[i]);
+    T* prow = packed + pair_row_start(i, n);
+    for (int j = i + 1; j < n; ++j) {
+      const double scale = sqi + static_cast<double>(sqnorms[j]);
+      double d2 = std::max(0.0, scale - 2.0 * static_cast<double>(prow[j - i - 1]));
+      if (d2 < kCancellationGuard * scale) {
+        const T* ri = row_ptr(rows, i, d);
+        const T* rj = row_ptr(rows, j, d);
+        T lanes[kLanes] = {};
+        int k = 0;
+        for (; k + kLanes <= d; k += kLanes) {
+          for (int b = 0; b < kLanes; ++b) {
+            const T diff = ri[k + b] - rj[k + b];
+            lanes[b] += diff * diff;
+          }
+        }
+        d2 = 0.0;
+        for (; k < d; ++k) {
+          const double diff = static_cast<double>(ri[k]) - static_cast<double>(rj[k]);
+          d2 += diff * diff;
+        }
+        for (int b = 0; b < kLanes; ++b) d2 += static_cast<double>(lanes[b]);
+      }
+      prow[j - i - 1] = static_cast<T>(d2);
+    }
+  }
 }
 
 /// Shared packed-row gather (diagonal 0, f32 values promoted on read).
@@ -301,10 +291,14 @@ std::vector<Vector> GradientBatch::unpack() const {
   return out;
 }
 
+template <typename T>
 void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();
-  colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+  const T* src_rows = rows<T>(batch);
+  std::vector<T>& cols = lane<T>().colmajor;
+  cols.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+  T* dst_cols = cols.data();
   // Cache-blocked transpose: both the row-major source and the column-major
   // destination are touched in tiles that fit in L1.
   constexpr int kBlock = 64;
@@ -314,8 +308,8 @@ void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
       for (int i0 = 0; i0 < n; i0 += kBlock) {
         const int i1 = std::min(i0 + kBlock, n);
         for (int i = i0; i < i1; ++i) {
-          const double* src = batch.row(i).data();
-          double* dst = colmajor.data() + i;
+          const T* src = row_ptr(src_rows, i, d);
+          T* dst = dst_cols + i;
           for (int k = k0; k < k1; ++k) {
             dst[static_cast<std::size_t>(k) * static_cast<std::size_t>(n)] = src[k];
           }
@@ -325,192 +319,72 @@ void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
   });
 }
 
+template void AggregatorWorkspace::fill_colmajor<double>(const GradientBatch&);
+template void AggregatorWorkspace::fill_colmajor<float>(const GradientBatch&);
+
 void AggregatorWorkspace::fill_sqnorms(const GradientBatch& batch) {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  constexpr int kLanes = 8;
-  sqnorms.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double* r = batch.row(i).data();
-    double lanes[kLanes] = {0.0};
-    int k = 0;
-    for (; k + kLanes <= d; k += kLanes) {
-      for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
-    }
-    double sum = 0.0;
-    for (; k < d; ++k) sum += r[k] * r[k];
-    for (int b = 0; b < kLanes; ++b) sum += lanes[b];
-    sqnorms[static_cast<std::size_t>(i)] = sum;
-  }
+  row_sqnorms(batch.data(), batch.rows(), batch.cols(), f64.sqnorms);
 }
 
 void AggregatorWorkspace::fill_norms(const GradientBatch& batch) {
   fill_sqnorms(batch);
-  norms.resize(sqnorms.size());
-  for (std::size_t i = 0; i < sqnorms.size(); ++i) norms[i] = std::sqrt(sqnorms[i]);
+  norms.resize(f64.sqnorms.size());
+  for (std::size_t i = 0; i < f64.sqnorms.size(); ++i) norms[i] = std::sqrt(f64.sqnorms[i]);
 }
 
-void AggregatorWorkspace::fill_rows_f32(const GradientBatch& batch) {
+bool AggregatorWorkspace::demote(const GradientBatch& batch) {
+  if (!f32_lane()) return false;
   const int n = batch.rows();
   const int d = batch.cols();
-  rows_f32.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+  f32.rows.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
   const double* src = batch.data();
-  float* dst = rows_f32.data();
+  float* dst = f32.rows.data();
   // Element-wise demotion with one writer per element — bit-identical at
-  // every thread count.
+  // every thread count.  The range check rides in the same loop: an entry
+  // that demotes to +-inf although it was finite (NaN is neither).  It
+  // compares bit patterns with integer ops: the equivalent floating-point
+  // magnitude compares vectorize to 512-bit FP instructions, which on an
+  // AVX-512 Xeon slowed the round phases after aggregation by ~25% (the
+  // async round benchmark's produce and emit).
+  std::atomic<bool> out_of_range{false};
   run_parallel(0, n, [&](int i_begin, int i_end) {
     const std::size_t lo = static_cast<std::size_t>(i_begin) * static_cast<std::size_t>(d);
     const std::size_t hi = static_cast<std::size_t>(i_end) * static_cast<std::size_t>(d);
-    for (std::size_t k = lo; k < hi; ++k) dst[k] = static_cast<float>(src[k]);
-  });
-}
-
-void AggregatorWorkspace::fill_colmajor_f32(const GradientBatch& batch) {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  fill_rows_f32(batch);
-  colmajor_f32.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-  // Same cache-blocked transpose as fill_colmajor, over the demoted rows.
-  constexpr int kBlock = 64;
-  const float* rows = rows_f32.data();
-  run_parallel(0, d, [&](int k_begin, int k_end) {
-    for (int k0 = k_begin; k0 < k_end; k0 += kBlock) {
-      const int k1 = std::min(k0 + kBlock, k_end);
-      for (int i0 = 0; i0 < n; i0 += kBlock) {
-        const int i1 = std::min(i0 + kBlock, n);
-        for (int i = i0; i < i1; ++i) {
-          const float* src = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-          float* dst = colmajor_f32.data() + i;
-          for (int k = k0; k < k1; ++k) {
-            dst[static_cast<std::size_t>(k) * static_cast<std::size_t>(n)] = src[k];
-          }
-        }
-      }
+    std::uint32_t overflow = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const double x = src[k];
+      const float y = static_cast<float>(x);
+      dst[k] = y;
+      const std::uint32_t y_inf =
+          (std::bit_cast<std::uint32_t>(y) & 0x7fffffffu) == 0x7f800000u;
+      const std::uint32_t x_inf =
+          (std::bit_cast<std::uint64_t>(x) & 0x7fffffffffffffffull) == 0x7ff0000000000000ull;
+      overflow |= y_inf & ~x_inf;
     }
+    if (overflow != 0) out_of_range.store(true);
   });
+  return !out_of_range.load();
 }
 
 void AggregatorWorkspace::gather_pair_row(int i, int n, double* dst) const noexcept {
-  if (f32_lane()) {
-    gather_pair_row_from(pairdist_f32.data(), i, n, dst);
+  if (pair_lane == Precision::f32) {
+    gather_pair_row_from(f32.pairdist.data(), i, n, dst);
   } else {
-    gather_pair_row_from(pairdist.data(), i, n, dst);
+    gather_pair_row_from(f64.pairdist.data(), i, n, dst);
   }
 }
 
-void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
+bool AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();
-  const std::size_t pairs = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
-  // Dot products accumulate into the packed triangle in d-chunks sized so
-  // the active rows stay cache-resident across the O(n^2) pair sweep — the
-  // whole batch is read from memory once instead of once per pair.  The
-  // packed layout stores each unordered pair once: half the matrix memory,
-  // no n^2 zero-assign, no mirror pass.
-  // Pair-level parallelism partitions the i range once per call (one thread
-  // team, not one per chunk); every packed cell is written by exactly one
-  // thread.  Each thread walks the d-chunks so its active row segments stay
-  // cache-resident across its pair sweep.
-  if (f32_lane()) {
-    // Float32 lane: demote once, run the 16-wide f32 Gram kernels, convert
-    // in double and store the packed triangle in f32.  The wider relative
-    // guard reflects the f32 dot's larger accumulation error — clustered
-    // batches simply take the direct-difference path, which is the most
-    // accurate result f32 inputs admit.
-    fill_rows_f32(batch);
-    sqnorms_f32.resize(static_cast<std::size_t>(n));
-    const float* rows = rows_f32.data();
-    for (int i = 0; i < n; ++i) {
-      constexpr int kLanes = 16;
-      const float* r = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      int k = 0;
-      for (; k + kLanes <= d; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
-      }
-      float sum = 0.0f;
-      for (; k < d; ++k) sum += r[k] * r[k];
-      for (int b = 0; b < kLanes; ++b) sum += lanes[b];
-      sqnorms_f32[static_cast<std::size_t>(i)] = sum;
-    }
-    pairdist_f32.assign(pairs, 0.0f);
-    run_parallel(0, n, [&](int i_begin, int i_end) {
-      accumulate_pair_dots_f32(rows, pairdist_f32.data(), n, d, i_begin, i_end);
-    });
-    constexpr double kCancellationGuardF32 = 1e-3;
-    float* packed = pairdist_f32.data();
-    for (int i = 0; i < n; ++i) {
-      const double sqi = static_cast<double>(sqnorms_f32[static_cast<std::size_t>(i)]);
-      float* prow = packed + pair_row_start(i, n);
-      for (int j = i + 1; j < n; ++j) {
-        const double scale =
-            sqi + static_cast<double>(sqnorms_f32[static_cast<std::size_t>(j)]);
-        double d2 =
-            std::max(0.0, scale - 2.0 * static_cast<double>(prow[j - i - 1]));
-        if (d2 < kCancellationGuardF32 * scale) {
-          constexpr int kLanes = 16;
-          const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-          const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-          float lanes[kLanes] = {0.0f};
-          int k = 0;
-          for (; k + kLanes <= d; k += kLanes) {
-            for (int b = 0; b < kLanes; ++b) {
-              const float diff = ri[k + b] - rj[k + b];
-              lanes[b] += diff * diff;
-            }
-          }
-          d2 = 0.0;
-          for (; k < d; ++k) {
-            const double diff = static_cast<double>(ri[k]) - static_cast<double>(rj[k]);
-            d2 += diff * diff;
-          }
-          for (int b = 0; b < kLanes; ++b) d2 += static_cast<double>(lanes[b]);
-        }
-        prow[j - i - 1] = static_cast<float>(d2);
-      }
-    }
-    return;
+  if (demote(batch)) {
+    fill_pairwise_lane(*this, f32.rows.data(), n, d);
+    pair_lane = Precision::f32;
+  } else {
+    fill_pairwise_lane(*this, batch.data(), n, d);
+    pair_lane = Precision::f64;
   }
-  fill_sqnorms(batch);
-  pairdist.assign(pairs, 0.0);
-  run_parallel(0, n, [&](int i_begin, int i_end) {
-    accumulate_pair_dots(batch, pairdist.data(), n, d, i_begin, i_end, mode);
-  });
-  // Convert the accumulated dots to squared distances in place.  The Gram
-  // identity cancels catastrophically when gradients share a large common
-  // component (||xi - xj||^2 << ||xi||^2 + ||xj||^2) — exactly the clustered
-  // regime where Krum-family selection matters — so pairs whose result is
-  // small relative to the cancellation scale are recomputed directly.  On
-  // well-separated data no pair trips the guard and nothing is recomputed.
-  constexpr double kCancellationGuard = 1e-6;
-  for (int i = 0; i < n; ++i) {
-    const double sqi = sqnorms[static_cast<std::size_t>(i)];
-    double* prow = pairdist.data() + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const double scale = sqi + sqnorms[static_cast<std::size_t>(j)];
-      double d2 = std::max(0.0, scale - 2.0 * prow[j - i - 1]);
-      if (d2 < kCancellationGuard * scale) {
-        constexpr int kLanes = 8;
-        const double* ri = batch.row(i).data();
-        const double* rj = batch.row(j).data();
-        double lanes[kLanes] = {0.0};
-        int k = 0;
-        for (; k + kLanes <= d; k += kLanes) {
-          for (int b = 0; b < kLanes; ++b) {
-            const double diff = ri[k + b] - rj[k + b];
-            lanes[b] += diff * diff;
-          }
-        }
-        d2 = 0.0;
-        for (; k < d; ++k) {
-          const double diff = ri[k] - rj[k];
-          d2 += diff * diff;
-        }
-        for (int b = 0; b < kLanes; ++b) d2 += lanes[b];
-      }
-      prow[j - i - 1] = d2;
-    }
-  }
+  return pair_lane == Precision::f32;
 }
 
 int validate_batch(const GradientBatch& batch, int f) {
@@ -525,15 +399,19 @@ void resize_output(Vector& out, int d) {
   if (out.dim() != d) out = Vector(d);
 }
 
-double median_inplace(double* first, double* last) {
+template <typename T>
+double median_inplace(T* first, T* last) {
   const std::size_t m = static_cast<std::size_t>(last - first);
   ABFT_REQUIRE(m > 0, "median of empty range");
-  double* mid = first + m / 2;
+  T* mid = first + m / 2;
   std::nth_element(first, mid, last);
-  if (m % 2 == 1) return *mid;
-  const double hi = *mid;
-  const double lo = *std::max_element(first, mid);
+  if (m % 2 == 1) return static_cast<double>(*mid);
+  const double hi = static_cast<double>(*mid);
+  const double lo = static_cast<double>(*std::max_element(first, mid));
   return 0.5 * (lo + hi);
 }
+
+template double median_inplace<double>(double*, double*);
+template double median_inplace<float>(float*, float*);
 
 }  // namespace abft::agg

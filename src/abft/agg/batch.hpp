@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,7 +54,9 @@ enum class AggMode {
 /// mode ignores it entirely (workspaces reject the combination at the
 /// scenario layer).  Like fast/f64, the f32 lane is bit-identical across
 /// thread counts: every demoted value and every f32 reduction is computed
-/// by exactly one writer in a fixed order.
+/// by exactly one writer in a fixed order.  A batch holding a finite entry
+/// beyond float range runs the whole call on the f64 fast lane instead (see
+/// AggregatorWorkspace::demote), so the lane never aggregates demoted +-inf.
 enum class Precision {
   f64,  ///< double-precision kernels (the default)
   f32,  ///< float inputs for the bandwidth-bound fast kernels
@@ -116,6 +118,31 @@ class GradientBatch {
   int d_ = 0;
 };
 
+/// Per-element-type scratch of the bandwidth-bound kernels.  A workspace
+/// holds one Lane<double> (the f64 kernels) and one Lane<float> (the f32
+/// compute lane, see Precision); kernels templated on the element type draw
+/// their buffers from AggregatorWorkspace::lane<T>(), so each operation has
+/// one body for both widths.  Buffers grow monotonically.
+template <typename T>
+struct Lane {
+  /// Demoted batch rows (n x d, row-major), filled by
+  /// AggregatorWorkspace::demote.  The double lane reads the batch
+  /// itself and leaves this empty (see AggregatorWorkspace::rows).
+  std::vector<T> rows;
+  /// d x n transposed copy of the rows.  Scratch: kernels may reorder it in
+  /// place (nth_element).
+  std::vector<T> colmajor;
+  std::vector<T> sqnorms;  ///< per-row squared Euclidean norms (n)
+  /// Packed strictly-upper-triangular squared pairwise distances: entry
+  /// (i, j) with i < j lives at pair_index(i, j, n), n*(n-1)/2 entries
+  /// total.  Storing each unordered pair once (no diagonal, no mirror)
+  /// halves the matrix traffic and drops the full n^2 zero-assign the old
+  /// square layout paid; consumers go through pair_sqdist() /
+  /// gather_pair_row() or walk the packed rows directly.
+  std::vector<T> pairdist;
+  std::vector<T> vecbuf;  ///< d-sized scratch (Weiszfeld, cclip, iterates)
+};
+
 /// Reusable scratch for the batched aggregation kernels.  All buffers grow
 /// monotonically; fill_* helpers recompute derived quantities from a batch.
 struct AggregatorWorkspace {
@@ -129,54 +156,59 @@ struct AggregatorWorkspace {
   /// Only consulted when mode == AggMode::fast; exact mode always runs f64.
   Precision precision = Precision::f64;
 
-  /// True when the float32 compute lane is active (fast mode + f32 knob).
+  /// True when the float32 compute lane is requested (fast mode + f32 knob).
   [[nodiscard]] bool f32_lane() const noexcept {
     return mode == AggMode::fast && precision == Precision::f32;
   }
 
-  /// Coordinate/pair-level parallel-for width for large d.  1 (the default)
-  /// keeps every kernel single-threaded; drivers thread their config flag
-  /// through here.
-  int parallel_threads = 1;
-
   /// Optional persistent thread pool.  When set, every kernel parallel-for
-  /// dispatches over the pool's sleeping workers instead of spawning a fresh
-  /// thread team per call; drivers share one pool between round-level
-  /// parallelism and the kernels (phases are sequential, so the pool is
-  /// never re-entered).  Non-owning: the driver owns the pool.
+  /// dispatches over the pool's sleeping workers at the pool's full width;
+  /// without one the kernels run single-threaded.  Drivers share one pool
+  /// between round-level parallelism and the kernels (phases are
+  /// sequential, so the pool is never re-entered).  Non-owning: the driver
+  /// owns the pool.
   ThreadPool* pool = nullptr;
 
-  /// Kernel-side parallel dispatch: pool when available, the spawning
-  /// parallel_for otherwise (compatible with workspaces configured by hand).
+  /// Kernel parallel width: the pool's width, or 1 without a pool.
+  [[nodiscard]] int width() const noexcept { return pool != nullptr ? pool->width() : 1; }
+
+  /// Kernel-side parallel dispatch over the pool (a direct call without
+  /// one).  An empty range never invokes fn.
   template <typename Fn>
   void run_parallel(int begin, int end, Fn&& fn);
 
   // --- scratch buffers -----------------------------------------------------
-  std::vector<double> colmajor;  ///< d x n transposed copy of the batch
+  Lane<double> f64;  ///< f64 kernel scratch (every mode)
+  Lane<float> f32;   ///< f32 compute-lane scratch (see Precision)
+
+  template <typename T>
+  [[nodiscard]] Lane<T>& lane() noexcept {
+    if constexpr (std::is_same_v<T, float>) {
+      return f32;
+    } else {
+      return f64;
+    }
+  }
+
+  /// The batch rows in element type T: the batch itself for double, the
+  /// demoted copy in f32.rows for float (valid after demote succeeded).
+  template <typename T>
+  [[nodiscard]] const T* rows(const GradientBatch& batch) const noexcept {
+    if constexpr (std::is_same_v<T, float>) {
+      return f32.rows.data();
+    } else {
+      return batch.data();
+    }
+  }
+
+  /// Lane whose pairdist holds the current distances (set by
+  /// fill_pairwise_sqdist, read by pair_sqdist / gather_pair_row).
+  Precision pair_lane = Precision::f64;
+
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
-  std::vector<double> sqnorms;   ///< per-gradient squared norms (n)
-  /// Packed strictly-upper-triangular squared pairwise distances: entry
-  /// (i, j) with i < j lives at pair_index(i, j, n), n*(n-1)/2 entries
-  /// total.  Storing each unordered pair once (no diagonal, no mirror)
-  /// halves the matrix traffic and drops the full n^2 zero-assign the old
-  /// square layout paid; consumers go through pair_sqdist() /
-  /// gather_pair_row() or walk the packed rows directly.
-  std::vector<double> pairdist;
   std::vector<double> pairrow;   ///< one gathered pairdist row (n), scratch
   std::vector<double> scores;    ///< per-gradient filter scores (n)
   std::vector<double> scratch;   ///< misc n-sized scratch (dists, columns)
-  std::vector<double> vecbuf;    ///< misc d-sized scratch (Weiszfeld, cclip)
-  // --- float32 lane mirrors (see Precision) -------------------------------
-  // Filled only when f32_lane() is active: rows_f32 is the demote-on-ingest
-  // copy of the batch (n x d, row-major), colmajor_f32 its transpose,
-  // sqnorms_f32 the per-row squared norms of the demoted rows, pairdist_f32
-  // the packed triangular distances (same layout as pairdist), and
-  // vecbuf_f32 a d-sized scratch for demoted iterates (Weiszfeld, cclip).
-  std::vector<float> rows_f32;      ///< demoted batch rows (n x d)
-  std::vector<float> colmajor_f32;  ///< d x n transpose of rows_f32
-  std::vector<float> sqnorms_f32;   ///< squared norms of the demoted rows (n)
-  std::vector<float> pairdist_f32;  ///< packed triangular distances, f32 lane
-  std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (demoted iterates)
   std::vector<int> order;        ///< index permutation (n)
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
@@ -202,9 +234,9 @@ struct AggregatorWorkspace {
   std::vector<int> hier_perm;              ///< seeded shard assignment (n)
   // Coreset pre-reduction scratch — agg/coreset.hpp.  The blocked k-center
   // pass keeps per-row nearest-center state in the n-sized buffers (its
-  // column-major distance kernel runs on `colmajor` with `scratch` as the
-  // per-round candidate-distance buffer), one bounded farthest-point epoch
-  // queue per row block in coreset_cand (strided, counts in
+  // column-major distance kernel runs on the lane's colmajor with `scratch`
+  // as the per-round candidate-distance buffer), one bounded farthest-point
+  // epoch queue per row block in coreset_cand (strided, counts in
   // coreset_cand_count, -1 marking a queue due for refill, epoch bounds in
   // coreset_qbound), the merged live (distance, id) candidate pairs in
   // coreset_merged, and the selected rows / multiplicity weights in the
@@ -223,29 +255,33 @@ struct AggregatorWorkspace {
   GradientBatch coreset_batch;         ///< m x d packed coreset rows
 
   // --- fill helpers --------------------------------------------------------
-  /// Transposes the batch into `colmajor` (cache-blocked), so per-coordinate
-  /// kernels see each column as a contiguous run of n doubles.  The copy is
-  /// scratch: kernels may reorder it in place (nth_element).
+  /// The f32 lane's one demote-on-ingest pass.  When the lane is requested,
+  /// demotes the batch rows into f32.rows and, in the same loop, checks that
+  /// no finite entry lies beyond float range (one that demotes to +-inf).
+  /// Returns true when the call should run its f32 kernels: the lane is
+  /// requested and the batch is in range.  An out-of-range batch runs the
+  /// f64 fast lane for the whole call, bit-identical to Precision::f64.
+  /// Returns false without touching anything otherwise.
+  bool demote(const GradientBatch& batch);
+
+  /// Cache-blocked transpose of the lane-T rows into lane<T>().colmajor, so
+  /// per-coordinate kernels see each column as a contiguous run of n
+  /// entries.  The float lane transposes f32.rows (demote first).
+  template <typename T = double>
   void fill_colmajor(const GradientBatch& batch);
 
-  /// Fills `sqnorms` with per-row squared Euclidean norms.
+  /// Fills f64.sqnorms with per-row squared Euclidean norms.
   void fill_sqnorms(const GradientBatch& batch);
 
-  /// Fills `norms` (and `sqnorms`) with per-row Euclidean norms.
+  /// Fills `norms` (and f64.sqnorms) with per-row Euclidean norms.
   void fill_norms(const GradientBatch& batch);
 
-  /// Fills the packed triangular `pairdist` buffer (or `pairdist_f32` when
-  /// the f32 lane is active) with squared Euclidean distances via the Gram
-  /// identity ||xi - xj||^2 = ||xi||^2 + ||xj||^2 - 2 <xi, xj>, computing
-  /// each unordered pair once.  Shared by Krum, Multi-Krum and Bulyan.
-  void fill_pairwise_sqdist(const GradientBatch& batch);
-
-  /// Demotes the batch rows into `rows_f32` (the f32 lane's one
-  /// demote-on-ingest pass).
-  void fill_rows_f32(const GradientBatch& batch);
-
-  /// fill_rows_f32 + cache-blocked transpose into `colmajor_f32`.
-  void fill_colmajor_f32(const GradientBatch& batch);
+  /// Fills the packed triangular pairdist of the f32 lane (when demote
+  /// admits the batch) or the f64 lane with squared Euclidean distances via
+  /// the Gram identity ||xi - xj||^2 = ||xi||^2 + ||xj||^2 - 2 <xi, xj>,
+  /// computing each unordered pair once; records the lane in pair_lane and
+  /// returns true when it was f32.  Shared by Krum, Multi-Krum and Bulyan.
+  bool fill_pairwise_sqdist(const GradientBatch& batch);
 
   // --- packed triangular pairdist accessors --------------------------------
   /// Index of unordered pair (i, j), i < j, in the packed strictly-upper
@@ -257,12 +293,13 @@ struct AggregatorWorkspace {
            static_cast<std::size_t>(j - i - 1);
   }
 
-  /// Squared distance between rows i and j (i != j), read from whichever
-  /// pairdist buffer the active lane filled (f32 values are promoted).
+  /// Squared distance between rows i and j (i != j), read from the lane
+  /// fill_pairwise_sqdist filled (f32 values are promoted).
   [[nodiscard]] double pair_sqdist(int i, int j, int n) const noexcept {
     if (i > j) std::swap(i, j);
     const std::size_t idx = pair_index(i, j, n);
-    return f32_lane() ? static_cast<double>(pairdist_f32[idx]) : pairdist[idx];
+    return pair_lane == Precision::f32 ? static_cast<double>(f32.pairdist[idx])
+                                       : f64.pairdist[idx];
   }
 
   /// Gathers row i of the (logical) n x n distance matrix into dst[0..n),
@@ -279,45 +316,16 @@ void resize_output(Vector& out, int d);
 
 /// Median of [first, last) computed in place via nth_element; matches the
 /// sort-based median exactly ((m odd) middle element, (m even) mean of the
-/// two middle elements).  Reorders the range.
-double median_inplace(double* first, double* last);
-
-/// Runs fn(begin_chunk, end_chunk) over [begin, end) split across up to
-/// num_threads std::threads.  num_threads <= 1 (or a tiny range) degenerates
-/// to a direct call on the calling thread — that path is allocation-free
-/// (the callable is a template parameter, not a std::function).  With
-/// num_threads > 1 each call spawns and joins a fresh thread team (tens of
-/// microseconds); hot paths should prefer a persistent ThreadPool (see
-/// threads.hpp) via AggregatorWorkspace::run_parallel — this spawning
-/// fallback remains for ad-hoc workspaces with no pool.  fn must not throw.
-template <typename Fn>
-void parallel_for(int begin, int end, int num_threads, Fn&& fn) {
-  const int range = end - begin;
-  if (range <= 0) return;
-  const int workers = std::min(num_threads, range);
-  if (workers <= 1) {
-    fn(begin, end);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  const int chunk = (range + workers - 1) / workers;
-  for (int w = 1; w < workers; ++w) {
-    const int lo = begin + w * chunk;
-    const int hi = std::min(lo + chunk, end);
-    if (lo >= hi) break;
-    pool.emplace_back([&fn, lo, hi] { fn(lo, hi); });
-  }
-  fn(begin, std::min(begin + chunk, end));
-  for (auto& t : pool) t.join();
-}
+/// two middle elements, formed in double).  Reorders the range.
+template <typename T>
+double median_inplace(T* first, T* last);
 
 template <typename Fn>
 void AggregatorWorkspace::run_parallel(int begin, int end, Fn&& fn) {
   if (pool != nullptr) {
-    pool->parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
-  } else {
-    parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
+    pool->parallel_for(begin, end, pool->width(), std::forward<Fn>(fn));
+  } else if (begin < end) {
+    fn(begin, end);
   }
 }
 

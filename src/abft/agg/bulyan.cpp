@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "abft/agg/krum.hpp"
@@ -49,11 +50,12 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
   // Each row's distances are gathered once from the packed triangle into a
   // dense buffer so the sort comparator stays a plain indexed load; the
   // later incremental maintenance does point lookups via pair_sqdist().
-  if (ws.parallel_threads <= 1) ws.pairrow.resize(static_cast<std::size_t>(n));
+  const bool parallel = ws.width() > 1;
+  if (!parallel) ws.pairrow.resize(static_cast<std::size_t>(n));
   ws.run_parallel(0, n, [&](int begin, int end) {
     std::vector<double> local_row;
     double* dist = ws.pairrow.data();
-    if (ws.parallel_threads > 1) {
+    if (parallel) {
       local_row.resize(static_cast<std::size_t>(n));
       dist = local_row.data();
     }
@@ -148,6 +150,82 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
   }
 }
 
+/// Stage 2: per coordinate, average the `take` selected entries (ws.order,
+/// theta of them) closest to the selected median.  Columns come from the
+/// contiguous lane-T workspace transpose.  In exact mode the selection
+/// replicates the span path's two sorts verbatim so tie-breaking among
+/// equidistant entries is bit-identical; fast mode drops the second
+/// O(theta log theta) sort — in a sorted column the take entries closest to
+/// the median form a contiguous window, found by an O(take) two-pointer
+/// sweep and summed with laned partial sums.  The selected multiset is
+/// identical for tie-free columns; only the winner among exactly-equidistant
+/// entries (which the exact path's unstable second sort also picks
+/// arbitrarily) and the summation order may differ.  The f32 lane streams
+/// demoted columns (half the bandwidth of the dominant theta x d gather);
+/// the sort, median and window sweep run on promoted doubles, so
+/// tie-breaking is the same deterministic comparison as the f64 lane.
+template <typename T>
+void select_stage2(std::span<double> result, const GradientBatch& batch, int theta, int take,
+                   AggregatorWorkspace& ws) {
+  const int n = batch.rows();
+  const int d = batch.cols();
+  ws.fill_colmajor<T>(batch);
+  const T* cols = ws.lane<T>().colmajor.data();
+  const bool fast = ws.mode == AggMode::fast;
+  const bool parallel = ws.width() > 1;
+  if (!parallel) ws.scratch.resize(static_cast<std::size_t>(theta));
+  ws.run_parallel(0, d, [&](int k_begin, int k_end) {
+    // Single-threaded (the common case) stays allocation-free by borrowing
+    // ws.scratch (free after stage 1); parallel chunks get a private buffer.
+    std::vector<double> local_column;
+    double* column = ws.scratch.data();
+    if (parallel) {
+      local_column.resize(static_cast<std::size_t>(theta));
+      column = local_column.data();
+    }
+    for (int k = k_begin; k < k_end; ++k) {
+      const T* col = cols + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
+      for (int s = 0; s < theta; ++s) {
+        column[s] = static_cast<double>(col[ws.order[static_cast<std::size_t>(s)]]);
+      }
+      double sum = 0.0;
+      if (fast) {
+        std::sort(column, column + theta);
+        const double med = (theta % 2 == 1)
+                               ? column[theta / 2]
+                               : 0.5 * (column[theta / 2 - 1] + column[theta / 2]);
+        // Greedy window growth from the median outwards: distances increase
+        // monotonically in each direction of a sorted column, so the take
+        // closest entries are exactly the window this sweep ends on.
+        int lo = theta / 2 - 1;  // last index at or below the median
+        int hi = theta / 2;      // first index at or above the median
+        for (int picked = 0; picked < take; ++picked) {
+          if (lo < 0) {
+            ++hi;
+          } else if (hi >= theta) {
+            --lo;
+          } else if (med - column[lo] <= column[hi] - med) {
+            --lo;
+          } else {
+            ++hi;
+          }
+        }
+        sum = detail::laned_sum(column + (lo + 1), hi - (lo + 1));
+      } else {
+        std::sort(column, column + theta);
+        const double med = (theta % 2 == 1)
+                               ? column[theta / 2]
+                               : 0.5 * (column[theta / 2 - 1] + column[theta / 2]);
+        std::sort(column, column + theta, [med](double a, double b) {
+          return std::abs(a - med) < std::abs(b - med);
+        });
+        for (int s = 0; s < take; ++s) sum += column[s];
+      }
+      result[static_cast<std::size_t>(k)] = sum / static_cast<double>(take);
+    }
+  });
+}
+
 }  // namespace
 
 Vector BulyanAggregator::aggregate(std::span<const Vector> gradients, int f) const {
@@ -201,7 +279,7 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
   // Stage 1: iterated Krum selection over a shrinking active set.  The
   // pairwise squared distances are computed once (Gram identity) and shared
   // across all theta rounds instead of being recomputed per round.
-  ws.fill_pairwise_sqdist(batch);
+  const bool f32 = ws.fill_pairwise_sqdist(batch);
   ws.active.assign(static_cast<std::size_t>(n), 1);
   ws.order.resize(static_cast<std::size_t>(theta));  // selected rows, in pick order
   if (ws.mode == AggMode::fast) {
@@ -244,91 +322,13 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
     }
   }
 
-  // Stage 2: per coordinate, average the beta selected entries closest to
-  // the selected median.  Columns come from the contiguous workspace
-  // transpose.  In exact mode the selection replicates the span path's two
-  // sorts verbatim so tie-breaking among equidistant entries is
-  // bit-identical; fast mode drops the second O(theta log theta) sort — in
-  // a sorted column the beta entries closest to the median form a
-  // contiguous window, found by an O(beta) two-pointer sweep and summed
-  // with laned partial sums.  The selected multiset is identical for
-  // tie-free columns; only the winner among exactly-equidistant entries
-  // (which the exact path's unstable second sort also picks arbitrarily)
-  // and the summation order may differ.
-  const bool f32 = ws.f32_lane();
-  if (f32) {
-    ws.fill_colmajor_f32(batch);
-  } else {
-    ws.fill_colmajor(batch);
-  }
+  // Stage 2 reads the columns of the lane stage 1 measured in.
   resize_output(out, d);
-  auto result = out.coefficients();
-  const int take = std::min(beta, theta);
-  const bool fast = ws.mode == AggMode::fast;
-  if (ws.parallel_threads <= 1) ws.scratch.resize(static_cast<std::size_t>(theta));
-  ws.run_parallel(0, d, [&](int k_begin, int k_end) {
-    // Single-threaded (the common case) stays allocation-free by borrowing
-    // ws.scratch (free after stage 1); parallel chunks get a private buffer.
-    std::vector<double> local_column;
-    double* column = ws.scratch.data();
-    if (ws.parallel_threads > 1) {
-      local_column.resize(static_cast<std::size_t>(theta));
-      column = local_column.data();
-    }
-    for (int k = k_begin; k < k_end; ++k) {
-      // f32 lane: columns stream from the demoted transpose (half the
-      // bandwidth of the dominant theta x d gather); the sort, median and
-      // window sweep run on promoted doubles, so tie-breaking is the same
-      // deterministic comparison as the f64 lane.
-      if (f32) {
-        const float* col =
-            ws.colmajor_f32.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-        for (int s = 0; s < theta; ++s) {
-          column[s] = static_cast<double>(col[ws.order[static_cast<std::size_t>(s)]]);
-        }
-      } else {
-        const double* col =
-            ws.colmajor.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-        for (int s = 0; s < theta; ++s) {
-          column[s] = col[ws.order[static_cast<std::size_t>(s)]];
-        }
-      }
-      double sum = 0.0;
-      if (fast) {
-        std::sort(column, column + theta);
-        const double med = (theta % 2 == 1)
-                               ? column[theta / 2]
-                               : 0.5 * (column[theta / 2 - 1] + column[theta / 2]);
-        // Greedy window growth from the median outwards: distances increase
-        // monotonically in each direction of a sorted column, so the take
-        // closest entries are exactly the window this sweep ends on.
-        int lo = theta / 2 - 1;  // last index at or below the median
-        int hi = theta / 2;      // first index at or above the median
-        for (int picked = 0; picked < take; ++picked) {
-          if (lo < 0) {
-            ++hi;
-          } else if (hi >= theta) {
-            --lo;
-          } else if (med - column[lo] <= column[hi] - med) {
-            --lo;
-          } else {
-            ++hi;
-          }
-        }
-        sum = detail::laned_sum(column + (lo + 1), hi - (lo + 1));
-      } else {
-        std::sort(column, column + theta);
-        const double med = (theta % 2 == 1)
-                               ? column[theta / 2]
-                               : 0.5 * (column[theta / 2 - 1] + column[theta / 2]);
-        std::sort(column, column + theta, [med](double a, double b) {
-          return std::abs(a - med) < std::abs(b - med);
-        });
-        for (int s = 0; s < take; ++s) sum += column[s];
-      }
-      result[static_cast<std::size_t>(k)] = sum / static_cast<double>(take);
-    }
-  });
+  if (f32) {
+    select_stage2<float>(out.coefficients(), batch, theta, std::min(beta, theta), ws);
+  } else {
+    select_stage2<double>(out.coefficients(), batch, theta, std::min(beta, theta), ws);
+  }
 }
 
 }  // namespace abft::agg

@@ -49,15 +49,6 @@ int kind_for(std::string_view rule) {
   return kBulyan;
 }
 
-double sqdist_rows(const double* a, const double* b, int d) {
-  double sum = 0.0;
-  for (int k = 0; k < d; ++k) {
-    const double diff = a[k] - b[k];
-    sum += diff * diff;
-  }
-  return sum;
-}
-
 /// Value at 0-indexed replicated rank r of the multiset {(value, weight)},
 /// pairs sorted ascending by value, integer weights.
 double value_at_rank(const std::vector<std::pair<double, double>>& pairs, long long r) {
@@ -260,14 +251,14 @@ void weighted_geomed(Vector& out, const GradientBatch& cs, const std::vector<dou
   for (int k = 0; k < d; ++k) sq += cur[static_cast<std::size_t>(k)] * cur[static_cast<std::size_t>(k)];
   const double scale = std::max(1.0, std::sqrt(sq));
   const double floor = 1e-12 * scale;
-  ws.vecbuf.resize(static_cast<std::size_t>(d));
-  double* num = ws.vecbuf.data();
+  ws.f64.vecbuf.resize(static_cast<std::size_t>(d));
+  double* num = ws.f64.vecbuf.data();
   for (int iter = 0; iter < max_iterations; ++iter) {
     std::fill(num, num + d, 0.0);
     double denominator = 0.0;
     for (int i = 0; i < m; ++i) {
       const double* row = cs.row(i).data();
-      const double dist = std::max(std::sqrt(sqdist_rows(cur.data(), row, d)), floor);
+      const double dist = std::max(std::sqrt(detail::sqdist(cur.data(), row, d)), floor);
       const double wq = w[static_cast<std::size_t>(i)] / dist;
       for (int k = 0; k < d; ++k) num[k] += wq * row[k];
       denominator += wq;
@@ -514,13 +505,13 @@ void weighted_cclip(Vector& out, const GradientBatch& cs, const std::vector<doub
   const int d = cs.cols();
   weighted_cwmed(out, cs, w, n, ws);
   auto pivot = out.coefficients();
-  ws.vecbuf.resize(static_cast<std::size_t>(d));
-  double* correction = ws.vecbuf.data();
+  ws.f64.vecbuf.resize(static_cast<std::size_t>(d));
+  double* correction = ws.f64.vecbuf.data();
   auto& pairs = ws.coreset_pairs;
   for (int iter = 0; iter < iterations; ++iter) {
     pairs.clear();
     for (int i = 0; i < m; ++i) {
-      pairs.emplace_back(std::sqrt(sqdist_rows(cs.row(i).data(), pivot.data(), d)),
+      pairs.emplace_back(std::sqrt(detail::sqdist(cs.row(i).data(), pivot.data(), d)),
                          w[static_cast<std::size_t>(i)]);
     }
     const double tau = weighted_median(pairs, n);
@@ -528,7 +519,7 @@ void weighted_cclip(Vector& out, const GradientBatch& cs, const std::vector<doub
     std::fill(correction, correction + d, 0.0);
     for (int i = 0; i < m; ++i) {
       const double* row = cs.row(i).data();
-      const double norm = std::sqrt(sqdist_rows(row, pivot.data(), d));
+      const double norm = std::sqrt(detail::sqdist(row, pivot.data(), d));
       const double s = (norm > tau ? tau / norm : 1.0) * w[static_cast<std::size_t>(i)];
       for (int k = 0; k < d; ++k) {
         correction[k] += s * (row[k] - pivot[static_cast<std::size_t>(k)]);
@@ -560,45 +551,30 @@ int kcenter_block_rows(int n, int z) {
   return static_cast<int>(std::min(block, static_cast<long long>(n)));
 }
 
-/// Portable column-major squared-distance block: out[i] = d(row_i, center)^2
-/// for i in [lo, hi), written as d strided sweeps so the compiler vectorizes
-/// ACROSS rows.  This is the construction pass's exact-mode arithmetic: each
-/// out[i] still accumulates in ascending-k order — the same sequential sum a
-/// scalar row loop produces — so the values are independent of the vector
-/// width and the thread count.  The caller blocks [lo, hi) small enough that
-/// out stays cache-resident across the k sweeps.
-void colmajor_sqdist_block(const double* cols, std::size_t stride, const double* center,
-                           int d, int lo, int hi, double* out) {
-  const double c0 = center[0];
-  for (int i = lo; i < hi; ++i) {
-    const double diff = cols[i] - c0;
-    out[i] = diff * diff;
-  }
-  for (int k = 1; k < d; ++k) {
-    const double* col = cols + static_cast<std::size_t>(k) * stride;
-    const double ck = center[k];
-    for (int i = lo; i < hi; ++i) {
-      const double diff = col[i] - ck;
-      out[i] += diff * diff;
-    }
-  }
-}
-
-/// One block's distance pass for a freshly placed center, in 1024-row
-/// sub-chunks: the column-major distance kernel fills cand[c_lo, c_hi)
-/// (L1-resident across the d column sweeps), then a branchless blend folds
-/// it into the nearest-center state.  Centers (dist -1) and exact
-/// duplicates (dist 0) keep their slot: a squared distance is never
-/// negative, so the blend cannot overwrite them.  Writes only this block's
-/// dist/assign/cand rows; the per-block queues are left alone — selection
-/// refreshes them lazily (see kcenter_refill_block).
-template <typename T, typename Dist>
+/// One block's distance pass for a freshly placed center, in
+/// detail::kColmajorRows-row sub-chunks: the column-major distance kernel
+/// (detail::colmajor_sqdist, or its AVX-512 variant in fast mode) fills
+/// cand[c_lo, c_hi) (L1-resident across the d column sweeps), then a
+/// branchless blend folds it into the nearest-center state.  Centers
+/// (dist -1) and exact duplicates (dist 0) keep their slot: a squared
+/// distance is never negative, so the blend cannot overwrite them.  Writes
+/// only this block's dist/assign/cand rows; the per-block queues are left
+/// alone — selection refreshes them lazily (see kcenter_refill_block).
+template <typename T>
 void kcenter_block_pass(double* dist, int* assign, const T* cols, std::size_t stride,
                         const T* center_row, int d, int slot, int lo, int hi,
-                        double* cand, Dist dist_block) {
-  for (int c_lo = lo; c_lo < hi; c_lo += 1024) {
-    const int c_hi = std::min(hi, c_lo + 1024);
-    dist_block(cols, stride, center_row, d, c_lo, c_hi, cand);
+                        double* cand, bool use_avx512) {
+  (void)use_avx512;
+  for (int c_lo = lo; c_lo < hi; c_lo += detail::kColmajorRows) {
+    const int c_hi = std::min(hi, c_lo + detail::kColmajorRows);
+#if defined(ABFT_AVX512)
+    if (use_avx512) {
+      detail::avx512_colmajor_sqdist(cols, stride, center_row, d, c_lo, c_hi, cand);
+    } else
+#endif
+    {
+      detail::colmajor_sqdist(cols, stride, center_row, d, c_lo, c_hi, cand);
+    }
     double* __restrict dd = dist;
     int* __restrict aa = assign;
     const double* __restrict cc = cand;
@@ -678,9 +654,9 @@ void kcenter_refill_block(const double* dist, int n, int block, int qcap, int b,
 /// the first power-of-two checkpoint (k = f + 1, 2(f + 1), ...) where the
 /// covering radius failed to improve by the fixed factor 0.7 since the
 /// previous one.
-template <typename T, typename Dist>
+template <typename T>
 int kcenter_reduce(const GradientBatch& batch, int f, AggregatorWorkspace& ws, int k_cap,
-                   bool adaptive, Dist dist_block) {
+                   bool adaptive, bool use_avx512) {
   constexpr bool kF32 = std::is_same_v<T, float>;
   const int n = batch.rows();
   const int d = batch.cols();
@@ -692,19 +668,11 @@ int kcenter_reduce(const GradientBatch& batch, int f, AggregatorWorkspace& ws, i
   // its input, and the transpose must survive for the passes below.  The f32
   // lane transposes the demoted rows instead (half the streaming traffic for
   // every pass below); the pivot medians and all selection state stay f64.
-  if constexpr (kF32) {
-    ws.fill_colmajor_f32(batch);  // also fills ws.rows_f32 (center rows below)
-  } else {
-    ws.fill_colmajor(batch);
-  }
+  ws.fill_colmajor<T>(batch);
   ws.scratch.resize(static_cast<std::size_t>(n));
   ws.coreset_vec.resize(static_cast<std::size_t>(d));
-  const T* tcols = nullptr;
-  if constexpr (kF32) {
-    tcols = ws.colmajor_f32.data();
-  } else {
-    tcols = ws.colmajor.data();
-  }
+  const T* tcols = ws.lane<T>().colmajor.data();
+  const T* trows = ws.rows<T>(batch);
   for (int kk = 0; kk < d; ++kk) {
     const T* col = tcols + static_cast<std::size_t>(kk) * static_cast<std::size_t>(n);
     for (int i = 0; i < n; ++i) ws.scratch[static_cast<std::size_t>(i)] = static_cast<double>(col[i]);
@@ -713,32 +681,29 @@ int kcenter_reduce(const GradientBatch& batch, int f, AggregatorWorkspace& ws, i
   }
   // Seed center: the row nearest the coordinate-wise median pivot (a robust
   // pivot an adversary cannot drag far with f rows).  The f32 lane measures
-  // this nearest-row pass on the demoted rows (strict < keeps the first
-  // minimum, so the pick is deterministic either way).
-  int seed = 0;
-  double best = std::numeric_limits<double>::infinity();
+  // this nearest-row pass on the demoted rows against the demoted pivot,
+  // with laned sums (strict < keeps the first minimum, so the pick is
+  // deterministic either way).
+  const T* pivot = nullptr;
   if constexpr (kF32) {
-    ws.vecbuf_f32.resize(static_cast<std::size_t>(d));
+    ws.f32.vecbuf.resize(static_cast<std::size_t>(d));
     for (int kk = 0; kk < d; ++kk) {
-      ws.vecbuf_f32[static_cast<std::size_t>(kk)] =
+      ws.f32.vecbuf[static_cast<std::size_t>(kk)] =
           static_cast<float>(ws.coreset_vec[static_cast<std::size_t>(kk)]);
     }
-    for (int i = 0; i < n; ++i) {
-      const float* row =
-          ws.rows_f32.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      const double dsq = detail::laned_sqdist_f32(row, ws.vecbuf_f32.data(), d);
-      if (dsq < best) {
-        best = dsq;
-        seed = i;
-      }
-    }
+    pivot = ws.f32.vecbuf.data();
   } else {
-    for (int i = 0; i < n; ++i) {
-      const double dsq = sqdist_rows(batch.row(i).data(), ws.coreset_vec.data(), d);
-      if (dsq < best) {
-        best = dsq;
-        seed = i;
-      }
+    pivot = ws.coreset_vec.data();
+  }
+  int seed = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < n; ++i) {
+    const T* row = trows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+    const double dsq =
+        kF32 ? detail::laned_sqdist(row, pivot, d) : detail::sqdist(row, pivot, d);
+    if (dsq < best) {
+      best = dsq;
+      seed = i;
     }
   }
 
@@ -775,20 +740,15 @@ int kcenter_reduce(const GradientBatch& batch, int f, AggregatorWorkspace& ws, i
   double* cand = ws.scratch.data();
   for (;;) {
     const int slot = centers - 1;  // pending's slot
-    const T* center_row = nullptr;
-    if constexpr (kF32) {
-      center_row =
-          ws.rows_f32.data() + static_cast<std::size_t>(pending) * static_cast<std::size_t>(d);
-    } else {
-      center_row = batch.row(pending).data();
-    }
+    const T* center_row =
+        trows + static_cast<std::size_t>(pending) * static_cast<std::size_t>(d);
 
     ws.run_parallel(0, nblocks, [&](int b_begin, int b_end) {
       for (int b = b_begin; b < b_end; ++b) {
         const int lo = b * block;
         const int hi = std::min(n, lo + block);
         kcenter_block_pass(dist, assign, cols, stride, center_row, d, slot, lo, hi, cand,
-                           dist_block);
+                           use_avx512);
       }
     });
 
@@ -1028,49 +988,16 @@ int CoresetReducer::reduce(const GradientBatch& batch, int f, AggregatorWorkspac
   }
   const bool adaptive = config_.size == CoresetConfig::kAdaptiveSize;
   const int k_cap = centers_for(n, f);
-  if (ws.f32_lane()) {
-    // f32 construction lane: the blocked distance passes stream demoted
-    // columns (half the memory traffic of the f64 transpose); every
-    // per-row distance is still emitted as a double, and the selection
-    // state, thresholds and tie-breaking run unchanged on doubles — so the
-    // construction stays bit-identical at every thread count.
-#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-    if (detail::sqdist_avx512_available()) {
-      return kcenter_reduce<float>(batch, f, ws, k_cap, adaptive,
-                                   [](const float* cols, std::size_t stride,
-                                      const float* center, int dd, int lo, int hi,
-                                      double* out) {
-                                     detail::avx512_colmajor_sqdist_f32(
-                                         cols, stride, center, dd, lo, hi, out);
-                                   });
-    }
-#endif
-    return kcenter_reduce<float>(batch, f, ws, k_cap, adaptive,
-                                 [](const float* cols, std::size_t stride,
-                                    const float* center, int dd, int lo, int hi,
-                                    double* out) {
-                                   detail::laned_colmajor_sqdist_f32(cols, stride, center,
-                                                                     dd, lo, hi, out);
-                                 });
+  // The f32 construction lane streams demoted columns (half the memory
+  // traffic of the f64 transpose); every per-row distance is still emitted
+  // as a double, and the selection state, thresholds and tie-breaking run
+  // unchanged on doubles — so the construction stays bit-identical at every
+  // thread count.
+  const bool use_avx512 = ws.mode == AggMode::fast && detail::avx512_available();
+  if (ws.demote(batch)) {
+    return kcenter_reduce<float>(batch, f, ws, k_cap, adaptive, use_avx512);
   }
-#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-  if (ws.mode == AggMode::fast && detail::sqdist_avx512_available()) {
-    return kcenter_reduce<double>(batch, f, ws, k_cap, adaptive,
-                                  [](const double* cols, std::size_t stride,
-                                     const double* center, int dd, int lo, int hi,
-                                     double* out) {
-                                    detail::avx512_colmajor_sqdist(cols, stride, center,
-                                                                   dd, lo, hi, out);
-                                  });
-  }
-#endif
-  return kcenter_reduce<double>(batch, f, ws, k_cap, adaptive,
-                                [](const double* cols, std::size_t stride,
-                                   const double* center, int dd, int lo, int hi,
-                                   double* out) {
-                                  colmajor_sqdist_block(cols, stride, center, dd, lo, hi,
-                                                        out);
-                                });
+  return kcenter_reduce<double>(batch, f, ws, k_cap, adaptive, use_avx512);
 }
 
 Vector CoresetReducer::aggregate(std::span<const Vector> gradients, int f) const {

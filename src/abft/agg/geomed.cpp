@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "abft/agg/simd_util.hpp"
@@ -21,12 +22,7 @@ namespace {
 
 struct ExactReduce {
   static double sqdist(const double* a, const double* b, int d) {
-    double sum = 0.0;
-    for (int k = 0; k < d; ++k) {
-      const double diff = a[k] - b[k];
-      sum += diff * diff;
-    }
-    return sum;
+    return detail::sqdist(a, b, d);
   }
   /// cur = num * inv, formed in place; returns the squared step length.
   static double scale_update(const double* num, double inv, double* cur, int d) {
@@ -42,14 +38,16 @@ struct ExactReduce {
 };
 
 struct LanedReduce {
-  static double sqdist(const double* a, const double* b, int d) {
+  template <typename T>
+  static double sqdist(const T* a, const T* b, int d) {
     return detail::laned_sqdist(a, b, d);
   }
   static double scale_update(const double* num, double inv, double* cur, int d) {
-    double lanes[detail::kReduceLanes] = {0.0};
+    constexpr int kLanes = detail::kLanes<double>;
+    double lanes[kLanes] = {0.0};
     int k = 0;
-    for (; k + detail::kReduceLanes <= d; k += detail::kReduceLanes) {
-      for (int t = 0; t < detail::kReduceLanes; ++t) {
+    for (; k + kLanes <= d; k += kLanes) {
+      for (int t = 0; t < kLanes; ++t) {
         const double next_k = num[k + t] * inv;
         const double diff = next_k - cur[k + t];
         lanes[t] += diff * diff;
@@ -63,18 +61,24 @@ struct LanedReduce {
       moved_sq += diff * diff;
       cur[k] = next_k;
     }
-    for (int t = 0; t < detail::kReduceLanes; ++t) moved_sq += lanes[t];
+    for (int t = 0; t < kLanes; ++t) moved_sq += lanes[t];
     return moved_sq;
   }
 };
 
 /// Damped Weiszfeld over the batch rows into `out`; the numerator lives in
-/// workspace.vecbuf, so the iteration loop allocates nothing.  The distance
+/// ws.f64.vecbuf, so the iteration loop allocates nothing.  The distance
 /// pass and the weighted accumulation of each row run back-to-back (the row
-/// is still cache-hot for the second read).
-template <typename Reduce>
+/// is still cache-hot for the second read).  T is the element type of the
+/// rows both read: the batch itself for double; for float (the f32 lane,
+/// after ws.demote) the demoted rows, with the iterate demoted once per
+/// iteration into ws.f32.vecbuf so both sqdist operands are float.  The
+/// numerator/denominator accumulation and the damped update stay f64, so the
+/// emitted aggregate is a f64 fixed point of the lane-measured weights.
+template <typename T, typename Reduce>
 void weiszfeld_into(Vector& out, const GradientBatch& batch, AggregatorWorkspace& ws,
                     double tolerance, int max_iterations) {
+  constexpr bool kF32 = std::is_same_v<T, float>;
   const int n = batch.rows();
   const int d = batch.cols();
   resize_output(out, d);
@@ -96,70 +100,30 @@ void weiszfeld_into(Vector& out, const GradientBatch& batch, AggregatorWorkspace
   // when the iterate coincides with an input point.
   const double floor = 1e-12 * scale;
 
-  ws.vecbuf.resize(static_cast<std::size_t>(d));
-  double* num = ws.vecbuf.data();
+  const T* rows = ws.rows<T>(batch);
+  ws.f64.vecbuf.resize(static_cast<std::size_t>(d));
+  double* num = ws.f64.vecbuf.data();
+  T* cur_t = nullptr;
+  if constexpr (kF32) {
+    ws.f32.vecbuf.resize(static_cast<std::size_t>(d));
+    cur_t = ws.f32.vecbuf.data();
+  } else {
+    cur_t = cur.data();
+  }
   for (int iter = 0; iter < max_iterations; ++iter) {
-    std::fill(num, num + d, 0.0);
-    double denominator = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double* row = batch.row(i).data();
-      const double dist = std::max(std::sqrt(Reduce::sqdist(cur.data(), row, d)), floor);
-      const double w = 1.0 / dist;
-      for (int k = 0; k < d; ++k) num[k] += w * row[k];
-      denominator += w;
+    if constexpr (kF32) {
+      for (int k = 0; k < d; ++k) cur_t[k] = static_cast<float>(cur[static_cast<std::size_t>(k)]);
     }
-    const double moved_sq = Reduce::scale_update(num, 1.0 / denominator, cur.data(), d);
-    if (std::sqrt(moved_sq) <= tolerance * scale) break;
-  }
-}
-
-/// Float32-lane Weiszfeld: the distance pass — the bandwidth-bound O(n d)
-/// read per iteration — runs on the demoted rows with 16-float lanes, and
-/// the iterate is demoted once per iteration (ws.vecbuf_f32) so both sqdist
-/// operands are float.  The numerator/denominator accumulation and the
-/// damped update stay f64 (LanedReduce::scale_update), so the emitted
-/// aggregate is a f64 fixed point of the f32-measured weights.  Same
-/// damping, tolerance and iteration schedule as the shared driver.
-void weiszfeld_into_f32(Vector& out, const GradientBatch& batch, AggregatorWorkspace& ws,
-                        double tolerance, int max_iterations) {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  resize_output(out, d);
-  auto cur = out.coefficients();
-  // current = mean of the rows (same summation order as linalg::mean).
-  std::fill(cur.begin(), cur.end(), 0.0);
-  for (int i = 0; i < n; ++i) {
-    const double* row = batch.row(i).data();
-    for (int k = 0; k < d; ++k) cur[static_cast<std::size_t>(k)] += row[k];
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-  double sq = 0.0;
-  for (int k = 0; k < d; ++k) {
-    cur[static_cast<std::size_t>(k)] *= inv_n;
-    sq += cur[static_cast<std::size_t>(k)] * cur[static_cast<std::size_t>(k)];
-  }
-  const double scale = std::max(1.0, std::sqrt(sq));
-  const double floor = 1e-12 * scale;
-
-  ws.fill_rows_f32(batch);
-  const float* rows = ws.rows_f32.data();
-  ws.vecbuf.resize(static_cast<std::size_t>(d));
-  ws.vecbuf_f32.resize(static_cast<std::size_t>(d));
-  double* num = ws.vecbuf.data();
-  float* curf = ws.vecbuf_f32.data();
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    for (int k = 0; k < d; ++k) curf[k] = static_cast<float>(cur[static_cast<std::size_t>(k)]);
     std::fill(num, num + d, 0.0);
     double denominator = 0.0;
     for (int i = 0; i < n; ++i) {
-      const float* row = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      const double dist =
-          std::max(std::sqrt(detail::laned_sqdist_f32(curf, row, d)), floor);
+      const T* row = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+      const double dist = std::max(std::sqrt(Reduce::sqdist(cur_t, row, d)), floor);
       const double w = 1.0 / dist;
       for (int k = 0; k < d; ++k) num[k] += w * static_cast<double>(row[k]);
       denominator += w;
     }
-    const double moved_sq = LanedReduce::scale_update(num, 1.0 / denominator, cur.data(), d);
+    const double moved_sq = Reduce::scale_update(num, 1.0 / denominator, cur.data(), d);
     if (std::sqrt(moved_sq) <= tolerance * scale) break;
   }
 }
@@ -210,12 +174,12 @@ void geometric_median_into(Vector& out, const GradientBatch& batch,
   // below that the exact path is already optimal, so fast mode routes tiny
   // dimensions back to it (still a valid "fast" result — exact is within
   // every tolerance bound).
-  if (ws.f32_lane() && d >= detail::kF32DistanceLaneMinDim) {
-    weiszfeld_into_f32(out, batch, ws, tolerance, max_iterations);
-  } else if (ws.mode == AggMode::fast && d >= 2 * detail::kReduceLanes) {
-    weiszfeld_into<LanedReduce>(out, batch, ws, tolerance, max_iterations);
+  if (d >= detail::kF32DistanceLaneMinDim && ws.demote(batch)) {
+    weiszfeld_into<float, LanedReduce>(out, batch, ws, tolerance, max_iterations);
+  } else if (ws.mode == AggMode::fast && d >= 2 * detail::kLanes<double>) {
+    weiszfeld_into<double, LanedReduce>(out, batch, ws, tolerance, max_iterations);
   } else {
-    weiszfeld_into<ExactReduce>(out, batch, ws, tolerance, max_iterations);
+    weiszfeld_into<double, ExactReduce>(out, batch, ws, tolerance, max_iterations);
   }
 }
 

@@ -12,7 +12,7 @@ Vector geometric_median(std::span<const Vector> points, double tolerance = 1e-10
                         int max_iterations = 200);
 
 /// Batched geometric median over the rows of `batch`, written into `out`.
-/// Draws the Weiszfeld numerator from workspace.vecbuf — no allocation in
+/// Draws the Weiszfeld numerator from workspace.f64.vecbuf — no allocation in
 /// the iteration loop.  Same damping, tolerance and iteration schedule as
 /// the span overload.
 void geometric_median_into(Vector& out, const GradientBatch& batch,

@@ -191,12 +191,12 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
   }
 
   ws.hier_root.reshape(num_shards, d);
-  // Shards are partitioned over up to parallel_threads worker groups; each
+  // Shards are partitioned over up to ws.width() worker groups; each
   // group reuses ONE sub-workspace/gather-batch across its shards, so the
   // scratch footprint is width * O((n/S)^2), never S * O((n/S)^2).  Shard
   // results do not depend on the grouping (kernels recompute all derived
   // state per call), so the output is bit-identical at every width.
-  const int width = std::max(1, std::min(ws.parallel_threads, num_shards));
+  const int width = std::max(1, std::min(ws.width(), num_shards));
   while (static_cast<int>(ws.hier_groups.size()) < width) {
     ws.hier_groups.push_back(std::make_unique<AggregatorWorkspace>());
   }
@@ -211,8 +211,7 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
       AggregatorWorkspace& sub = *ws.hier_groups[static_cast<std::size_t>(g)];
       sub.mode = ws.mode;
       sub.precision = ws.precision;
-      sub.parallel_threads = 1;  // the group IS the parallel unit
-      sub.pool = nullptr;
+      sub.pool = nullptr;  // the group IS the parallel unit
       GradientBatch& gather = ws.hier_gather[static_cast<std::size_t>(g)];
       Vector& shard_out = ws.hier_out[static_cast<std::size_t>(g)];
       const int shards_begin = shard_boundary(num_shards, width, g);

@@ -27,9 +27,9 @@ class KrumAggregator final : public GradientAggregator {
   [[nodiscard]] static std::vector<double> scores(std::span<const Vector> gradients, int f);
 
   /// Batched Krum scores, written into workspace.scores.  Fills the shared
-  /// pairwise squared-distance matrix in workspace.pairdist via the Gram
-  /// identity; Krum and Multi-Krum both score from it (Bulyan runs its own
-  /// active-set scoring loop over the same fill_pairwise_sqdist matrix).
+  /// pairwise squared-distance matrix (a workspace lane's pairdist) via the
+  /// Gram identity; Krum and Multi-Krum both score from it (Bulyan runs its
+  /// own active-set scoring loop over the same fill_pairwise_sqdist matrix).
   static void batched_scores(const GradientBatch& batch, int f,
                              AggregatorWorkspace& workspace);
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
@@ -61,6 +62,11 @@ int rank_kernel_cutoff();
 /// constant, so exact mode's run-to-run reproducibility contract holds for
 /// a fixed environment.
 int effective_rank_cutoff(AggMode mode);
+
+/// Count type of rank_counts for element type T: int64 for double columns,
+/// int32 for float columns (one SIMD lane per entry in both overloads).
+template <typename T>
+using RankCount = std::conditional_t<std::is_same_v<T, float>, std::int32_t, std::int64_t>;
 
 inline void rank_counts(const double* col, int n, std::int64_t* lt) {
 #if defined(__AVX512F__)

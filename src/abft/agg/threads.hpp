@@ -1,10 +1,10 @@
 // Persistent worker-thread pool for round-level and kernel-level
-// parallelism.  The legacy parallel_for in batch.hpp spawns and joins a
-// fresh thread team on every call (tens of microseconds); a ThreadPool pays
-// that cost once and then dispatches static chunks over sleeping workers, so
-// drivers can parallelize per-round work (honest-gradient computation, the
-// p2p per-node filter loop) as well as the coordinate/pair loops inside the
-// aggregation kernels.
+// parallelism.  Spawning a thread team costs tens of microseconds; a
+// ThreadPool pays that once and then dispatches static chunks over sleeping
+// workers, so drivers can parallelize per-round work (honest-gradient
+// computation, the p2p per-node filter loop) as well as the coordinate/pair
+// loops inside the aggregation kernels, which run at the width of the pool
+// their workspace points at (AggregatorWorkspace::run_parallel).
 //
 // Determinism contract: parallel_for partitions [begin, end) into at most
 // `width` contiguous chunks and runs fn(lo, hi) on each exactly once.  The

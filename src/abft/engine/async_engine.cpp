@@ -36,7 +36,6 @@ AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
                "async arrival scale must be positive and finite");
   threads_ = std::max(1, config_.threads);
   pool_ = std::make_unique<agg::ThreadPool>(threads_);
-  workspace_.parallel_threads = threads_;
   workspace_.pool = pool_.get();
   workspace_.mode = config_.mode;
   workspace_.precision = config_.precision;

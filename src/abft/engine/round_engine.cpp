@@ -15,7 +15,6 @@ RoundEngine::RoundEngine(std::vector<unsigned char> faulty, int dim, RoundEngine
   // dispatches through it without a serial/parallel branch.
   threads_ = std::max(1, config_.threads);
   pool_ = std::make_unique<agg::ThreadPool>(threads_);
-  workspace_.parallel_threads = threads_;
   workspace_.pool = pool_.get();
   workspace_.mode = config_.mode;
   workspace_.precision = config_.precision;

@@ -166,7 +166,6 @@ TEST(FastParity, FastModeThreadCountInvariant) {
     serial_ws.mode = agg::AggMode::fast;
     agg::AggregatorWorkspace pooled_ws;
     pooled_ws.mode = agg::AggMode::fast;
-    pooled_ws.parallel_threads = 4;
     pooled_ws.pool = &pool;
     Vector serial;
     Vector pooled;
@@ -338,7 +337,6 @@ TEST(F32Lane, ThreadCountInvariant) {
     agg::AggregatorWorkspace pooled_ws;
     pooled_ws.mode = agg::AggMode::fast;
     pooled_ws.precision = agg::Precision::f32;
-    pooled_ws.parallel_threads = 4;
     pooled_ws.pool = &pool;
     Vector serial;
     Vector pooled;
@@ -378,6 +376,41 @@ TEST(F32Lane, PrecisionKnobDefaultsAndGating) {
     rule->aggregate_into(plain, batch, 2, plain_ws);
     rule->aggregate_into(knob, batch, 2, knob_ws);
     EXPECT_EQ(plain, knob) << name << ": precision knob forked the exact path";
+  }
+}
+
+TEST(F32Lane, OutOfFloatRangeRowsRunTheF64Lane) {
+  // Two Byzantine rows of finite doubles beyond float range (alternating
+  // sign per coordinate) would demote to +-inf.  The demotion pass detects
+  // them, and the whole call runs the f64 fast lane: the f32 request must
+  // then be finite and bitwise equal to fast/f64, for every rule (d = 600
+  // clears the f32 distance-lane gate).
+  const int n = 15, d = 600, f = 2;
+  util::Rng rng(391);
+  for (const double magnitude : {1e39, 1e100}) {
+    auto batch = random_batch(rng, n, d, 1.0);
+    for (int i = 0; i < f; ++i) {
+      auto row = batch.row(i);
+      for (int k = 0; k < d; ++k) {
+        row[static_cast<std::size_t>(k)] = (k % 2 == 0 ? magnitude : -magnitude);
+      }
+    }
+    for (const auto name : agg::aggregator_names()) {
+      const auto rule = agg::make_aggregator(name);
+      agg::AggregatorWorkspace f64_ws;
+      f64_ws.mode = agg::AggMode::fast;
+      agg::AggregatorWorkspace f32_ws;
+      f32_ws.mode = agg::AggMode::fast;
+      f32_ws.precision = agg::Precision::f32;
+      Vector f64_out;
+      Vector f32_out;
+      rule->aggregate_into(f64_out, batch, f, f64_ws);
+      rule->aggregate_into(f32_out, batch, f, f32_ws);
+      for (int k = 0; k < d; ++k) {
+        ASSERT_TRUE(std::isfinite(f32_out[k])) << name << " @" << magnitude << " coordinate " << k;
+      }
+      EXPECT_EQ(f32_out, f64_out) << name << " @" << magnitude;
+    }
   }
 }
 

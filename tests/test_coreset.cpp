@@ -37,9 +37,8 @@ GradientBatch random_batch(int n, int d, std::uint64_t seed) {
 }
 
 Vector aggregate_batched(const agg::GradientAggregator& rule, const GradientBatch& batch,
-                         int f, int threads = 1, agg::ThreadPool* pool = nullptr) {
+                         int f, agg::ThreadPool* pool = nullptr) {
   agg::AggregatorWorkspace ws;
-  ws.parallel_threads = threads;
   ws.pool = pool;
   Vector out;
   rule.aggregate_into(out, batch, f, ws);
@@ -204,15 +203,14 @@ TEST(Coreset, PlantedOutliersSurviveAsWeightOneSingletons) {
 TEST(Coreset, BitIdenticalAcrossThreadCountsAndRepeatedCalls) {
   const auto batch = random_batch(120, 16, 9);
   agg::ThreadPool pool(4);
+  agg::ThreadPool pool3(3);
   for (const char* rule : {"krum", "gmom", "bulyan"}) {
     SCOPED_TRACE(rule);
     const CoresetReducer reducer(rule, {});
     const auto serial = aggregate_batched(reducer, batch, 5);
-    EXPECT_EQ(aggregate_batched(reducer, batch, 5, 4, &pool), serial);
-    EXPECT_EQ(aggregate_batched(reducer, batch, 5, 3, &pool), serial);
-    EXPECT_EQ(aggregate_batched(reducer, batch, 5, 64, &pool), serial);
+    EXPECT_EQ(aggregate_batched(reducer, batch, 5, &pool), serial);
+    EXPECT_EQ(aggregate_batched(reducer, batch, 5, &pool3), serial);
     agg::AggregatorWorkspace ws;
-    ws.parallel_threads = 4;
     ws.pool = &pool;
     Vector out;
     reducer.aggregate_into(out, batch, 5, ws);
@@ -236,21 +234,20 @@ TEST(Coreset, ParallelConstructionBitIdenticalAtMultiBlockShapes) {
     const int serial_m = reducer.reduce(batch, f, serial_ws);
     const auto serial_ids = serial_ws.coreset_ids;
     const auto serial_weights = serial_ws.coreset_weights;
-    for (const int threads : {2, 4, 64}) {
+    for (const int threads : {2, 4, 16}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
+      agg::ThreadPool width_pool(threads);
       agg::AggregatorWorkspace ws;
-      ws.parallel_threads = threads;
-      ws.pool = &pool;
+      ws.pool = &width_pool;
       EXPECT_EQ(reducer.reduce(batch, f, ws), serial_m);
       EXPECT_EQ(ws.coreset_ids, serial_ids);
       EXPECT_EQ(ws.coreset_weights, serial_weights);
     }
     const auto serial_out = aggregate_batched(reducer, batch, f);
-    EXPECT_EQ(aggregate_batched(reducer, batch, f, 4, &pool), serial_out);
+    EXPECT_EQ(aggregate_batched(reducer, batch, f, &pool), serial_out);
   }
   const CoresetReducer sampler("cwtm", {0, CoresetConfig::Kind::sample, 0});
   agg::AggregatorWorkspace sm_a, sm_b;
-  sm_b.parallel_threads = 4;
   sm_b.pool = &pool;
   EXPECT_EQ(sampler.reduce(batch, f, sm_a), sampler.reduce(batch, f, sm_b));
   EXPECT_EQ(sm_a.coreset_ids, sm_b.coreset_ids);
@@ -310,7 +307,6 @@ TEST(Coreset, AdaptiveSizeLandsBetweenFloorAndCap) {
   EXPECT_EQ(total, static_cast<double>(n));
   agg::ThreadPool pool(4);
   agg::AggregatorWorkspace pws;
-  pws.parallel_threads = 4;
   pws.pool = &pool;
   EXPECT_EQ(reducer.reduce(batch, f, pws), m);
   EXPECT_EQ(pws.coreset_ids, ws.coreset_ids);

@@ -34,9 +34,8 @@ GradientBatch random_batch(int n, int d, std::uint64_t seed) {
 }
 
 Vector aggregate_batched(const agg::GradientAggregator& rule, const GradientBatch& batch,
-                         int f, int threads = 1, agg::ThreadPool* pool = nullptr) {
+                         int f, agg::ThreadPool* pool = nullptr) {
   agg::AggregatorWorkspace ws;
-  ws.parallel_threads = threads;
   ws.pool = pool;
   Vector out;
   rule.aggregate_into(out, batch, f, ws);
@@ -97,12 +96,13 @@ TEST(Hierarchy, BitIdenticalAcrossThreadCountsAndRepeatedCalls) {
   const HierarchicalAggregator hier({8, "krum", "cwtm", -1, 77});
   const auto serial = aggregate_batched(hier, batch, 5);
   agg::ThreadPool pool(4);
-  EXPECT_EQ(aggregate_batched(hier, batch, 5, 4, &pool), serial);
-  EXPECT_EQ(aggregate_batched(hier, batch, 5, 3, &pool), serial);
-  EXPECT_EQ(aggregate_batched(hier, batch, 5, 64, &pool), serial);
+  agg::ThreadPool pool3(3);
+  agg::ThreadPool pool16(16);  // more worker groups than shards
+  EXPECT_EQ(aggregate_batched(hier, batch, 5, &pool), serial);
+  EXPECT_EQ(aggregate_batched(hier, batch, 5, &pool3), serial);
+  EXPECT_EQ(aggregate_batched(hier, batch, 5, &pool16), serial);
   // Workspace reuse across calls must not leak state between rounds.
   agg::AggregatorWorkspace ws;
-  ws.parallel_threads = 4;
   ws.pool = &pool;
   Vector out;
   hier.aggregate_into(out, batch, 5, ws);

@@ -92,7 +92,6 @@ TEST(ThreadPool, WorkspaceRunParallelNestedIsSafe) {
   agg::ThreadPool pool(4);
   agg::AggregatorWorkspace ws;
   ws.pool = &pool;
-  ws.parallel_threads = 4;
   std::vector<std::atomic<int>> hits(64);
   ws.run_parallel(0, 8, [&](int outer_lo, int outer_hi) {
     for (int o = outer_lo; o < outer_hi; ++o) {
@@ -134,18 +133,6 @@ TEST(ThreadPool, CallerChunkExceptionWinsAndPoolStaysUsable) {
   // The job slot must be clean again: a fresh job runs normally.
   std::vector<std::atomic<int>> hits(8);
   pool.parallel_for(0, 8, 4, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) hits_add(hits, i);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SpawningParallelForZeroAndSmallRanges) {
-  // The legacy spawning fallback in batch.hpp shares the clamping rules.
-  int calls = 0;
-  agg::parallel_for(3, 3, 4, [&](int, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::vector<std::atomic<int>> hits(2);
-  agg::parallel_for(0, 2, 8, [&](int lo, int hi) {
     for (int i = lo; i < hi; ++i) hits_add(hits, i);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
