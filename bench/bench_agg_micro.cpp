@@ -1,7 +1,7 @@
 // Microbenchmarks of every gradient filter across (n, d) shapes, charting
-// the per-round server cost — and, since the batched aggregation engine
-// landed, comparing the legacy span path against the zero-allocation
-// aggregate_into path in the same binary.
+// the per-round server cost — and comparing the naive reference rules the
+// tests check against (tests/reference_rules.hpp) with the zero-allocation
+// aggregate_into kernels in the same binary.
 //
 // The primary harness is built in (adaptive-iteration wall-clock timing) so
 // the binary works without google-benchmark and always emits a
@@ -14,7 +14,7 @@
 //                                    "fast_ns", "fast_speedup",
 //                                    "f32_ns", "f32_speedup"}}}
 //
-// Paths: "legacy" (span API), "batched" (aggregate_into, AggMode::exact),
+// Paths: "legacy" (the reference rule), "batched" (aggregate_into, AggMode::exact),
 // "fast" (aggregate_into, AggMode::fast — relaxed parity; measured at both
 // precision "f64" and, for the rules with an f32 kernel, precision "f32"),
 // and optionally "pooled" (see --threads).  fast_speedup is
@@ -51,6 +51,7 @@
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
+#include "reference_rules.hpp"
 
 #if defined(ABFT_HAVE_GBENCH)
 #include <benchmark/benchmark.h>
@@ -145,6 +146,12 @@ struct Shape {
   int d;
 };
 
+/// The rule's own precondition on (n, f) (krum: n > 2f + 2; bulyan:
+/// n >= 4f + 3): shapes outside it are skipped.
+bool runs(const agg::GradientAggregator& rule, int n, int f) {
+  return f >= rule.min_usable_f() && f <= rule.max_usable_f(n);
+}
+
 int run_builtin(bool quick, const std::string& out_path, int threads, int repeats) {
   const std::vector<Shape> shapes =
       quick ? std::vector<Shape>{{10, 10}, {10, 100}, {25, 200}}
@@ -162,19 +169,13 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
 
   for (const auto name : agg::aggregator_names()) {
     const auto rule = agg::make_aggregator(name);
+    const auto reference_rule = reference::rule(name);
     for (const auto shape : shapes) {
       const int n = shape.n;
       const int d = shape.d;
       const int f = std::max(1, n / 5);
+      if (!runs(*rule, n, f)) continue;
       const auto gradients = make_gradients(n, d, 42);
-
-      // Some rules reject certain (n, f) shapes (krum: n > 2f+2; bulyan:
-      // n >= 4f+3); probe once and skip instead of aborting the binary.
-      try {
-        (void)rule->aggregate(gradients, f);
-      } catch (const std::invalid_argument&) {
-        continue;
-      }
 
       const std::string key =
           std::string(name) + "/" + std::to_string(n) + "x" + std::to_string(d);
@@ -182,7 +183,7 @@ int run_builtin(bool quick, const std::string& out_path, int threads, int repeat
       BenchResult legacy{std::string(name), "legacy", "f64", n, d, f, 0.0, 0};
       legacy.ns_per_op = min_ns_per_op(
           [&] {
-            Vector out = rule->aggregate(gradients, f);
+            Vector out = reference_rule(gradients, f);
             // The result feeds the next model update in the real loop; fold
             // it into a sink so the call cannot be optimized away.
             volatile double sink = out[0];
@@ -297,13 +298,11 @@ void aggregate_benchmark(benchmark::State& state, const std::string& name, bool 
   const int d = static_cast<int>(state.range(1));
   const int f = std::max(1, n / 5);
   const auto rule = agg::make_aggregator(name);
-  const auto gradients = make_gradients(n, d, 42);
-  try {
-    benchmark::DoNotOptimize(rule->aggregate(gradients, f));
-  } catch (const std::invalid_argument& error) {
-    state.SkipWithError(error.what());
+  if (!runs(*rule, n, f)) {
+    state.SkipWithError("f outside the rule's usable range");
     return;
   }
+  const auto gradients = make_gradients(n, d, 42);
   if (batched) {
     agg::GradientBatch batch;
     batch.pack(gradients);
@@ -314,8 +313,9 @@ void aggregate_benchmark(benchmark::State& state, const std::string& name, bool 
       benchmark::DoNotOptimize(out);
     }
   } else {
+    const auto reference_rule = reference::rule(name);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(rule->aggregate(gradients, f));
+      benchmark::DoNotOptimize(reference_rule(gradients, f));
     }
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -2,13 +2,12 @@
 // GradFilter : R^{d x n} -> R^d.  The server hands the filter all n received
 // gradients plus the fault-tolerance parameter f.
 //
-// Two entry points:
-//   aggregate(span, f)                      — the original allocating API.
-//   aggregate_into(out, batch, f, ws)       — the batched hot path: gradients
-//     arrive packed in a contiguous GradientBatch, every rule draws scratch
-//     from the caller's AggregatorWorkspace, and the steady state performs
-//     no heap allocation.  The base class provides an adapter so rules that
-//     only implement the span API keep working.
+// One virtual entry point, aggregate_into(out, batch, f, ws): gradients
+// arrive packed in a contiguous GradientBatch, every rule draws scratch from
+// the caller's AggregatorWorkspace, and the steady state performs no heap
+// allocation.  aggregate(span, f) and aggregate_batched are allocating
+// conveniences over it.  The naive reference rules the kernels are checked
+// against live with the tests (tests/reference_rules.hpp).
 #pragma once
 
 #include <span>
@@ -25,17 +24,17 @@ class GradientAggregator {
  public:
   virtual ~GradientAggregator() = default;
 
-  /// Aggregates n received gradients assuming at most f of them are faulty.
-  /// Preconditions (checked): gradients non-empty and equal-dimension,
-  /// 0 <= f, and f small enough for the specific rule (documented per rule).
-  [[nodiscard]] virtual Vector aggregate(std::span<const Vector> gradients, int f) const = 0;
-
-  /// Batched aggregation into a caller-owned output vector.  The default
-  /// implementation adapts through the span API (unpacking the batch, which
-  /// allocates); every registry rule overrides it with an allocation-free
-  /// kernel.  `out` is resized to the batch dimension.
+  /// Aggregates the n rows of `batch` assuming at most f of them are
+  /// faulty, into a caller-owned output vector (resized to the batch
+  /// dimension).  Preconditions (checked, std::invalid_argument):
+  /// min_usable_f() <= f <= max_usable_f(n) and a non-empty batch.
   virtual void aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                              AggregatorWorkspace& workspace) const;
+                              AggregatorWorkspace& workspace) const = 0;
+
+  /// Packs `gradients` (non-empty, equal-dimension; checked) and runs
+  /// aggregate_into on a fresh exact-mode workspace.  Allocates; for tests,
+  /// examples and one-off calls, not the hot path.
+  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const;
 
   /// Convenience wrapper around aggregate_into for callers that want a fresh
   /// Vector (tests, examples); not for the hot path.
@@ -60,8 +59,5 @@ class GradientAggregator {
   /// Stable identifier, e.g. "cge"; used by the registry and bench labels.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
-
-/// Validates the shared preconditions; returns the common dimension.
-int validate_gradients(std::span<const Vector> gradients, int f);
 
 }  // namespace abft::agg

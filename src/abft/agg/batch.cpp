@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "abft/agg/simd_util.hpp"
 #include "abft/util/check.hpp"
@@ -238,6 +239,13 @@ void gather_pair_row_from(const T* packed, int i, int n, double* dst) {
   }
 }
 
+/// B(d), the largest entry magnitude the f32 lane admits (see
+/// AggregatorWorkspace::demote).
+float f32_entry_bound(int d) {
+  return static_cast<float>(
+      std::sqrt(static_cast<double>(std::numeric_limits<float>::max()) / (8.0 * d)));
+}
+
 }  // namespace
 
 void GradientBatch::reshape(int n, int d) {
@@ -253,9 +261,10 @@ void GradientBatch::pack(std::span<const Vector> gradients) {
   reshape(static_cast<int>(gradients.size()), d);
   for (std::size_t i = 0; i < gradients.size(); ++i) {
     ABFT_REQUIRE(gradients[i].dim() == d, "all gradients must share a dimension");
+    // std::copy, not memcpy: zero-dimension rows have null data pointers
+    // (rejected later by validate_batch).
     const auto src = gradients[i].coefficients();
-    std::memcpy(data_.data() + i * static_cast<std::size_t>(d), src.data(),
-                static_cast<std::size_t>(d) * sizeof(double));
+    std::copy(src.begin(), src.end(), data_.begin() + static_cast<std::ptrdiff_t>(i * d));
   }
 }
 
@@ -282,13 +291,6 @@ Vector GradientBatch::unpack_row(int i) const {
   ABFT_REQUIRE(0 <= i && i < n_, "batch row index out of range");
   const auto r = row(i);
   return Vector(std::vector<double>(r.begin(), r.end()));
-}
-
-std::vector<Vector> GradientBatch::unpack() const {
-  std::vector<Vector> out;
-  out.reserve(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) out.push_back(unpack_row(i));
-  return out;
 }
 
 template <typename T>
@@ -340,28 +342,25 @@ bool AggregatorWorkspace::demote(const GradientBatch& batch) {
   const double* src = batch.data();
   float* dst = f32.rows.data();
   // Element-wise demotion with one writer per element — bit-identical at
-  // every thread count.  The range check rides in the same loop: an entry
-  // that demotes to +-inf although it was finite (NaN is neither).  It
-  // compares bit patterns with integer ops: the equivalent floating-point
-  // magnitude compares vectorize to 512-bit FP instructions, which on an
-  // AVX-512 Xeon slowed the round phases after aggregation by ~25% (the
-  // async round benchmark's produce and emit).
+  // every thread count.  The range check rides in the same loop as one
+  // integer compare of |y|'s bit pattern against the bound's (non-negative
+  // floats order like their bit patterns; +-inf and NaN compare above every
+  // finite bound).  A floating-point magnitude compare here vectorizes to
+  // 512-bit FP instructions, which on an AVX-512 Xeon slowed the round
+  // phases after aggregation by ~25% (the async round benchmark's produce
+  // and emit).
+  const std::uint32_t bound = std::bit_cast<std::uint32_t>(f32_entry_bound(d));
   std::atomic<bool> out_of_range{false};
   run_parallel(0, n, [&](int i_begin, int i_end) {
     const std::size_t lo = static_cast<std::size_t>(i_begin) * static_cast<std::size_t>(d);
     const std::size_t hi = static_cast<std::size_t>(i_end) * static_cast<std::size_t>(d);
-    std::uint32_t overflow = 0;
+    std::uint32_t over = 0;
     for (std::size_t k = lo; k < hi; ++k) {
-      const double x = src[k];
-      const float y = static_cast<float>(x);
+      const float y = static_cast<float>(src[k]);
       dst[k] = y;
-      const std::uint32_t y_inf =
-          (std::bit_cast<std::uint32_t>(y) & 0x7fffffffu) == 0x7f800000u;
-      const std::uint32_t x_inf =
-          (std::bit_cast<std::uint64_t>(x) & 0x7fffffffffffffffull) == 0x7ff0000000000000ull;
-      overflow |= y_inf & ~x_inf;
+      over |= (std::bit_cast<std::uint32_t>(y) & 0x7fffffffu) > bound;
     }
-    if (overflow != 0) out_of_range.store(true);
+    if (over != 0) out_of_range.store(true);
   });
   return !out_of_range.load();
 }

@@ -26,19 +26,20 @@ using linalg::Vector;
 
 /// Numerical contract of the batched kernels.
 ///
-/// `exact` (the default) keeps every kernel bit-compatible with the legacy
-/// span path: same selection tie-breaking, same floating-point summation
-/// order, same convergence schedule.  `fast` relaxes that to *tolerance*
-/// parity — kernels may vectorize reductions (independent partial sums),
-/// replace full sorts with nth_element-style partial selection, and take
-/// runtime-dispatched AVX-512 paths.  The (f, eps)-resilience guarantees of
+/// `exact` (the default) follows the naive reference rules kept with the
+/// tests (tests/reference_rules.hpp): same selection tie-breaking, same
+/// floating-point summation order, same convergence schedule, and agreement
+/// to 1e-12 relative (BatchedParity.* in tests/test_agg.cpp).  `fast`
+/// relaxes that to *tolerance* parity — kernels may vectorize reductions
+/// (independent partial sums), replace full sorts with nth_element-style
+/// partial selection, and take runtime-dispatched AVX-512 paths.  The (f, eps)-resilience guarantees of
 /// the paper only constrain the aggregate, not the arithmetic, so fast mode
 /// is semantically safe; its drift is bounded per rule by the
 /// tolerance-parity suite in tests/test_agg_fast.cpp (||fast - exact||_inf
 /// <= tol(rule, n, d)) and end-to-end by the fast-mode goldens in
 /// tests/test_golden_e2e.cpp.
 enum class AggMode {
-  exact,  ///< bit-compatible with the span path (the default)
+  exact,  ///< follows the reference rules (the default)
   fast,   ///< relaxed parity: vectorized/partial-selection kernels
 };
 
@@ -54,9 +55,11 @@ enum class AggMode {
 /// mode ignores it entirely (workspaces reject the combination at the
 /// scenario layer).  Like fast/f64, the f32 lane is bit-identical across
 /// thread counts: every demoted value and every f32 reduction is computed
-/// by exactly one writer in a fixed order.  A batch holding a finite entry
-/// beyond float range runs the whole call on the f64 fast lane instead (see
-/// AggregatorWorkspace::demote), so the lane never aggregates demoted +-inf.
+/// by exactly one writer in a fixed order.  A batch holding an entry whose
+/// float sums could overflow (beyond B(d) = sqrt(FLT_MAX / (8 d)), +-inf or
+/// NaN) runs the whole call on the f64 fast lane instead (see
+/// AggregatorWorkspace::demote), so the lane never aggregates an overflowed
+/// distance.
 enum class Precision {
   f64,  ///< double-precision kernels (the default)
   f32,  ///< float inputs for the bandwidth-bound fast kernels
@@ -106,9 +109,6 @@ class GradientBatch {
   /// Copies row i out into a Vector (allocates; not for the hot path).
   [[nodiscard]] Vector unpack_row(int i) const;
 
-  /// Copies the whole batch out into vectors (allocates; adapter/test use).
-  [[nodiscard]] std::vector<Vector> unpack() const;
-
   [[nodiscard]] double* data() noexcept { return data_.data(); }
   [[nodiscard]] const double* data() const noexcept { return data_.data(); }
 
@@ -149,7 +149,7 @@ struct AggregatorWorkspace {
   // --- configuration -------------------------------------------------------
   /// Numerical mode of every kernel drawing scratch from this workspace (see
   /// AggMode).  Drivers thread their config flag through here; the default
-  /// keeps the bit-exact legacy behaviour.
+  /// is exact mode.
   AggMode mode = AggMode::exact;
 
   /// Element width of the bandwidth-bound fast-mode kernels (see Precision).
@@ -257,10 +257,14 @@ struct AggregatorWorkspace {
   // --- fill helpers --------------------------------------------------------
   /// The f32 lane's one demote-on-ingest pass.  When the lane is requested,
   /// demotes the batch rows into f32.rows and, in the same loop, checks that
-  /// no finite entry lies beyond float range (one that demotes to +-inf).
+  /// every demoted entry's magnitude is at most B(d) = sqrt(FLT_MAX / (8 d)):
+  /// then every float sum of d squared differences (at most
+  /// 4 d B(d)^2 = FLT_MAX / 2, the factor 2 absorbing the sums' rounding)
+  /// and every Gram term stays finite.
   /// Returns true when the call should run its f32 kernels: the lane is
-  /// requested and the batch is in range.  An out-of-range batch runs the
-  /// f64 fast lane for the whole call, bit-identical to Precision::f64.
+  /// requested and the batch is in range.  An out-of-range batch — including
+  /// one holding +-inf or NaN, which compare above the bound — runs the f64
+  /// fast lane for the whole call, bit-identical to Precision::f64.
   /// Returns false without touching anything otherwise.
   bool demote(const GradientBatch& batch);
 

@@ -17,37 +17,6 @@ CenteredClipAggregator::CenteredClipAggregator(double tau, int iterations)
   ABFT_REQUIRE(iterations > 0, "centered clipping needs at least one iteration");
 }
 
-Vector CenteredClipAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  (void)dim;
-  const CwmedAggregator median_rule;
-  Vector pivot = median_rule.aggregate(gradients, f);
-
-  for (int iter = 0; iter < iterations_; ++iter) {
-    double tau = tau_;
-    if (tau <= 0.0) {
-      // Adaptive radius: median distance from the current pivot.
-      std::vector<double> dists(gradients.size());
-      for (std::size_t i = 0; i < gradients.size(); ++i) {
-        dists[i] = linalg::distance(gradients[i], pivot);
-      }
-      std::sort(dists.begin(), dists.end());
-      const std::size_t n = dists.size();
-      tau = (n % 2 == 1) ? dists[n / 2] : 0.5 * (dists[n / 2 - 1] + dists[n / 2]);
-      if (tau <= 0.0) return pivot;  // all gradients equal the pivot
-    }
-    Vector correction(pivot.dim());
-    for (const auto& g : gradients) {
-      Vector delta = g - pivot;
-      const double norm = delta.norm();
-      if (norm > tau) delta *= tau / norm;
-      correction += delta;
-    }
-    pivot.add_scaled(1.0 / static_cast<double>(gradients.size()), correction);
-  }
-  return pivot;
-}
-
 namespace {
 
 /// Centered-clipping iterations over lane-T rows, updating `pivot` in place.
@@ -126,21 +95,6 @@ void CenteredClipAggregator::aggregate_into(Vector& out, const GradientBatch& ba
 
 ClippedInputAggregator::ClippedInputAggregator(const GradientAggregator& inner)
     : inner_(inner) {}
-
-Vector ClippedInputAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  std::vector<double> norms(gradients.size());
-  for (std::size_t i = 0; i < gradients.size(); ++i) norms[i] = gradients[i].norm();
-  std::vector<double> sorted = norms;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  const double cap = (n % 2 == 1) ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  std::vector<Vector> capped(gradients.begin(), gradients.end());
-  for (std::size_t i = 0; i < capped.size(); ++i) {
-    if (norms[i] > cap && norms[i] > 0.0) capped[i] *= cap / norms[i];
-  }
-  return inner_.aggregate(capped, f);
-}
 
 void ClippedInputAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {

@@ -5,26 +5,6 @@
 
 namespace abft::agg {
 
-std::vector<int> CgeAggregator::kept_indices(std::span<const Vector> gradients, int f) {
-  const int n = static_cast<int>(gradients.size());
-  std::vector<double> norms(gradients.size());
-  for (std::size_t i = 0; i < gradients.size(); ++i) norms[i] = gradients[i].norm();
-  std::vector<int> order(gradients.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&norms](int a, int b) {
-    return norms[static_cast<std::size_t>(a)] < norms[static_cast<std::size_t>(b)];
-  });
-  order.resize(static_cast<std::size_t>(n - f));
-  return order;
-}
-
-Vector CgeAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  Vector sum(dim);
-  for (int idx : kept_indices(gradients, f)) sum += gradients[static_cast<std::size_t>(idx)];
-  return sum;
-}
-
 void CgeAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                    AggregatorWorkspace& ws) const {
   const int d = validate_batch(batch, f);
@@ -38,7 +18,7 @@ void CgeAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int 
   resize_output(out, d);
   auto acc = out.coefficients();
   std::fill(acc.begin(), acc.end(), 0.0);
-  // Sum in ascending-norm order, matching the span path's summation order.
+  // Sum in ascending-norm order, the reference rule's summation order.
   for (int s = 0; s < n - f; ++s) {
     const double* row = batch.row(ws.order[static_cast<std::size_t>(s)]).data();
     for (int k = 0; k < d; ++k) acc[static_cast<std::size_t>(k)] += row[k];

@@ -14,7 +14,6 @@ namespace abft::agg {
 
 class KrumAggregator final : public GradientAggregator {
  public:
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "krum"; }
@@ -23,21 +22,12 @@ class KrumAggregator final : public GradientAggregator {
     return n < 3 ? -1 : (n - 3) / 2;
   }
 
-  /// Krum scores for all gradients (exposed for tests and Bulyan).
-  [[nodiscard]] static std::vector<double> scores(std::span<const Vector> gradients, int f);
-
   /// Batched Krum scores, written into workspace.scores.  Fills the shared
   /// pairwise squared-distance matrix (a workspace lane's pairdist) via the
   /// Gram identity; Krum and Multi-Krum both score from it (Bulyan runs its
   /// own active-set scoring loop over the same fill_pairwise_sqdist matrix).
   static void batched_scores(const GradientBatch& batch, int f,
                              AggregatorWorkspace& workspace);
-
-  /// Scores with the neighbour count clamped to at least one — used by
-  /// Bulyan, whose selection loop shrinks the pool below Krum's own n > 2f+2
-  /// requirement by design.
-  [[nodiscard]] static std::vector<double> relaxed_scores(std::span<const Vector> gradients,
-                                                          int f);
 };
 
 class MultiKrumAggregator final : public GradientAggregator {
@@ -46,7 +36,6 @@ class MultiKrumAggregator final : public GradientAggregator {
   /// choice m = n - f computed per call.
   explicit MultiKrumAggregator(int m = 0);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "multikrum"; }

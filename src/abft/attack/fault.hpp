@@ -5,7 +5,6 @@
 // strongest adversary consistent with the paper's model.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string_view>
 
@@ -15,18 +14,6 @@
 namespace abft::attack {
 
 using linalg::Vector;
-
-/// Everything a fault behaviour may observe in one round.
-struct AttackContext {
-  /// Server's current estimate x_t (broadcast to everyone).
-  const Vector& estimate;
-  /// Gradient the agent would send if it were honest (it knows its own cost).
-  const Vector& true_gradient;
-  /// Gradients the honest agents send this round (omniscient adversary).
-  std::span<const Vector> honest_gradients;
-  /// Iteration number t.
-  int round = 0;
-};
 
 /// Read-only view of the honest gradients of one round stored as rows of a
 /// row-major block (the driver's payload batch): gradient k lives at row
@@ -47,8 +34,7 @@ class HonestRowsView {
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
-  /// The k-th honest gradient of the round (same order as the legacy
-  /// AttackContext::honest_gradients span).
+  /// The k-th honest gradient of the round.
   [[nodiscard]] std::span<const double> row(int k) const noexcept {
     const auto r = static_cast<std::size_t>(rows_[static_cast<std::size_t>(k)]);
     return {data_ + r * static_cast<std::size_t>(dim_), static_cast<std::size_t>(dim_)};
@@ -60,9 +46,10 @@ class HonestRowsView {
   std::span<const int> rows_{};
 };
 
-/// The batched-ingest counterpart of AttackContext: the honest gradients are
-/// rows of the driver's payload batch and the true gradient is a raw span
-/// (typically the fault's own batch row, pre-filled by the driver).
+/// Everything a fault behaviour may observe in one round.  The honest
+/// gradients are rows of the driver's payload batch and the true gradient is
+/// a raw span (typically the fault's own batch row, pre-filled by the
+/// driver).
 struct RowAttackContext {
   /// Server's / reference node's current estimate x_t.
   const Vector& estimate;
@@ -80,24 +67,17 @@ class FaultModel {
  public:
   virtual ~FaultModel() = default;
 
-  /// The vector the faulty agent sends, or std::nullopt to stay silent.
-  [[nodiscard]] virtual std::optional<Vector> emit(const AttackContext& context,
-                                                   util::Rng& rng) const = 0;
-
-  /// In-place row mutation for the batched ingest path: writes the faulty
-  /// message straight into `out` (a batch row of dimension
-  /// context.true_gradient.size()) and returns true, or returns false to
-  /// stay silent (out is then unspecified).  Must consume the rng stream and
-  /// produce bit-identical payloads to emit() — the parity tests enforce
-  /// this for every built-in fault.  The default adapts through emit()
-  /// (materializing the legacy context, which allocates), so third-party
-  /// fault models keep working with the batched drivers unchanged.
-  /// Drivers with agg_threads > 1 call this (and emit()) concurrently for
+  /// Writes the faulty message straight into `out` (a batch row of
+  /// dimension context.true_gradient.size()) and returns true, or returns
+  /// false to stay silent (out is then unspecified).  `out` may alias
+  /// context.true_gradient; the result and the rng draws must not depend on
+  /// whether it does (AttackParity.* checks this bitwise for every built-in
+  /// fault).  Drivers with agg_threads > 1 call this concurrently for
   /// distinct agents — each call gets its own out row and rng, but the
   /// FaultModel object is shared, so implementations must be safe to call
   /// concurrently (all built-in faults are stateless).
   [[nodiscard]] virtual bool emit_into(std::span<double> out, const RowAttackContext& context,
-                                       util::Rng& rng) const;
+                                       util::Rng& rng) const = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

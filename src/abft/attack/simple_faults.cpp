@@ -5,18 +5,11 @@
 
 #include "abft/util/check.hpp"
 
-// Every emit_into below mirrors its emit() twin operation for operation so
-// the payloads (and the rng stream) are bit-identical — the attack-parity
-// tests compare the two paths exactly.  All of them honor the
-// out-may-alias-true_gradient contract by writing each index at most once
-// after its last read.
+// Every emit_into below honors the out-may-alias-true_gradient contract by
+// writing each index at most once, after its last read; the attack-parity
+// tests check aliased and separate output rows bitwise.
 
 namespace abft::attack {
-
-std::optional<Vector> GradientReverseFault::emit(const AttackContext& context,
-                                                 util::Rng& /*rng*/) const {
-  return -context.true_gradient;
-}
 
 bool GradientReverseFault::emit_into(std::span<double> out, const RowAttackContext& context,
                                      util::Rng& /*rng*/) const {
@@ -28,21 +21,10 @@ RandomGaussianFault::RandomGaussianFault(double stddev) : stddev_(stddev) {
   ABFT_REQUIRE(stddev >= 0.0, "gaussian fault stddev must be non-negative");
 }
 
-std::optional<Vector> RandomGaussianFault::emit(const AttackContext& context,
-                                                util::Rng& rng) const {
-  Vector out(context.true_gradient.dim());
-  for (int i = 0; i < out.dim(); ++i) out[i] = rng.normal(0.0, stddev_);
-  return out;
-}
-
 bool RandomGaussianFault::emit_into(std::span<double> out, const RowAttackContext& /*context*/,
                                     util::Rng& rng) const {
   for (std::size_t k = 0; k < out.size(); ++k) out[k] = rng.normal(0.0, stddev_);
   return true;
-}
-
-std::optional<Vector> ZeroFault::emit(const AttackContext& context, util::Rng& /*rng*/) const {
-  return Vector(context.true_gradient.dim());
 }
 
 bool ZeroFault::emit_into(std::span<double> out, const RowAttackContext& /*context*/,
@@ -55,11 +37,6 @@ SignFlipScaleFault::SignFlipScaleFault(double kappa) : kappa_(kappa) {
   ABFT_REQUIRE(kappa > 0.0, "sign-flip scale must be positive");
 }
 
-std::optional<Vector> SignFlipScaleFault::emit(const AttackContext& context,
-                                               util::Rng& /*rng*/) const {
-  return -kappa_ * context.true_gradient;
-}
-
 bool SignFlipScaleFault::emit_into(std::span<double> out, const RowAttackContext& context,
                                    util::Rng& /*rng*/) const {
   const double scale = -kappa_;
@@ -69,13 +46,6 @@ bool SignFlipScaleFault::emit_into(std::span<double> out, const RowAttackContext
 
 ConstantFault::ConstantFault(Vector payload) : payload_(std::move(payload)) {
   ABFT_REQUIRE(payload_.dim() > 0, "constant fault payload must be non-empty");
-}
-
-std::optional<Vector> ConstantFault::emit(const AttackContext& context,
-                                          util::Rng& /*rng*/) const {
-  ABFT_REQUIRE(payload_.dim() == context.true_gradient.dim(),
-               "constant fault payload dimension mismatch");
-  return payload_;
 }
 
 bool ConstantFault::emit_into(std::span<double> out, const RowAttackContext& /*context*/,
@@ -92,15 +62,6 @@ RotatingFault::RotatingFault(double magnitude, double omega)
   ABFT_REQUIRE(magnitude > 0.0, "rotating fault magnitude must be positive");
 }
 
-std::optional<Vector> RotatingFault::emit(const AttackContext& context,
-                                          util::Rng& /*rng*/) const {
-  Vector out(context.true_gradient.dim());
-  const double angle = omega_ * static_cast<double>(context.round);
-  out[0] = magnitude_ * std::cos(angle);
-  if (out.dim() > 1) out[1] = magnitude_ * std::sin(angle);
-  return out;
-}
-
 bool RotatingFault::emit_into(std::span<double> out, const RowAttackContext& context,
                               util::Rng& /*rng*/) const {
   std::fill(out.begin(), out.end(), 0.0);
@@ -108,11 +69,6 @@ bool RotatingFault::emit_into(std::span<double> out, const RowAttackContext& con
   out[0] = magnitude_ * std::cos(angle);
   if (out.size() > 1) out[1] = magnitude_ * std::sin(angle);
   return true;
-}
-
-std::optional<Vector> SilentFault::emit(const AttackContext& /*context*/,
-                                        util::Rng& /*rng*/) const {
-  return std::nullopt;
 }
 
 bool SilentFault::emit_into(std::span<double> /*out*/, const RowAttackContext& /*context*/,

@@ -29,16 +29,12 @@ class SyncNetwork {
   /// drop_probability applies independently to every agent->server message.
   explicit SyncNetwork(double drop_probability = 0.0, std::uint64_t seed = 0);
 
-  /// Applies drop injection; returns what the server receives.
-  std::optional<Vector> transmit(int agent, int round, std::optional<Vector> payload);
-
-  /// Row-writer ingest for the batched round loop: one agent->server message
-  /// per call, in agent order.  An empty `payload` means the agent stayed
-  /// silent (no drop draw — identical rng consumption to transmit with an
-  /// empty optional).  Otherwise the drop coin is tossed and, when the
-  /// message survives, the payload is copied into `dst` — the network writes
-  /// the gradient straight into the server's ingest-batch row.  Returns true
-  /// iff the server received the message.  Bit-compatible with transmit().
+  /// One agent->server message per call, in agent order.  An empty
+  /// `payload` means the agent stayed silent (no drop draw).  Otherwise the
+  /// drop coin is tossed and, when the message survives, the payload is
+  /// copied into `dst` — the network writes the gradient straight into the
+  /// server's ingest-batch row.  Returns true iff the server received the
+  /// message.
   bool transmit_row(int agent, int round, std::span<const double> payload,
                     std::span<double> dst);
 

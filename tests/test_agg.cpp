@@ -1,7 +1,9 @@
 // Unit and property tests for the gradient-filter library.  Each rule gets
 // exact small-case checks; a parameterized suite then asserts the shared
 // robustness contract across every robust rule: permutation invariance and
-// bounded output under f arbitrarily-large outliers.
+// bounded output under f arbitrarily-large outliers.  The batched kernels
+// are checked against the naive reference rules in reference_rules.hpp, and
+// every rule's f range against its min_usable_f / max_usable_f contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "abft/agg/normclip.hpp"
 #include "abft/agg/registry.hpp"
 #include "abft/util/rng.hpp"
+#include "reference_rules.hpp"
 
 namespace {
 
@@ -28,13 +31,19 @@ using agg::Vector;
 std::vector<Vector> make_gradients(std::initializer_list<Vector> list) { return {list}; }
 
 TEST(Validate, SharedPreconditions) {
+  // The span adapter and the reference rules reject the same families.
+  const agg::AverageAggregator rule;
   const auto grads = make_gradients({Vector{1.0, 0.0}, Vector{0.0, 1.0}});
-  EXPECT_EQ(agg::validate_gradients(grads, 0), 2);
-  EXPECT_THROW(agg::validate_gradients({}, 0), std::invalid_argument);
-  EXPECT_THROW(agg::validate_gradients(grads, -1), std::invalid_argument);
-  EXPECT_THROW(agg::validate_gradients(grads, 2), std::invalid_argument);
   const auto ragged = make_gradients({Vector{1.0}, Vector{1.0, 2.0}});
-  EXPECT_THROW(agg::validate_gradients(ragged, 0), std::invalid_argument);
+  const auto empty_rows = make_gradients({Vector{}, Vector{}});
+  EXPECT_EQ(rule.aggregate(grads, 0).dim(), 2);
+  EXPECT_EQ(reference::validate_gradients(grads, 0), 2);
+  const std::pair<std::vector<Vector>, int> rejected[] = {
+      {{}, 0}, {grads, -1}, {grads, 2}, {ragged, 0}, {empty_rows, 0}};
+  for (const auto& [family, f] : rejected) {
+    EXPECT_THROW((void)rule.aggregate(family, f), std::invalid_argument);
+    EXPECT_THROW(reference::validate_gradients(family, f), std::invalid_argument);
+  }
 }
 
 TEST(Average, IsTheMean) {
@@ -58,14 +67,16 @@ TEST(Cge, KeepsEverythingWhenFZero) {
 
 TEST(Cge, KeptIndicesSortedByNorm) {
   const auto grads = make_gradients({Vector{3.0}, Vector{1.0}, Vector{2.0}});
-  const auto kept = agg::CgeAggregator::kept_indices(grads, 1);
+  const auto kept = reference::cge_kept_indices(grads, 1);
   EXPECT_EQ(kept, (std::vector<int>{1, 2}));
+  EXPECT_EQ(agg::CgeAggregator{}.aggregate(grads, 1), (Vector{3.0}));
 }
 
 TEST(Cge, TieBreakIsStableByIndex) {
   const auto grads = make_gradients({Vector{1.0, 0.0}, Vector{0.0, 1.0}, Vector{-1.0, 0.0}});
-  const auto kept = agg::CgeAggregator::kept_indices(grads, 1);
+  const auto kept = reference::cge_kept_indices(grads, 1);
   EXPECT_EQ(kept, (std::vector<int>{0, 1}));  // equal norms: earlier index first
+  EXPECT_EQ(agg::CgeAggregator{}.aggregate(grads, 1), (Vector{1.0, 1.0}));
 }
 
 TEST(Cwtm, TrimsPerCoordinate) {
@@ -152,9 +163,20 @@ TEST(MultiKrum, AveragesLowScoreGradients) {
   EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
+/// Batched geometric median of a point family.
+Vector geometric_median(std::span<const Vector> points, double tolerance = 1e-10,
+                        int max_iterations = 200) {
+  agg::GradientBatch batch;
+  batch.pack(points);
+  agg::AggregatorWorkspace ws;
+  Vector out;
+  agg::geometric_median_into(out, batch, ws, tolerance, max_iterations);
+  return out;
+}
+
 TEST(GeometricMedian, MatchesMedianInOneDimension) {
   const auto points = make_gradients({Vector{1.0}, Vector{2.0}, Vector{100.0}});
-  const Vector med = agg::geometric_median(points);
+  const Vector med = geometric_median(points);
   EXPECT_NEAR(med[0], 2.0, 1e-6);
 }
 
@@ -164,7 +186,7 @@ TEST(GeometricMedian, FirstOrderOptimality) {
   util::Rng rng(9);
   std::vector<Vector> points;
   for (int i = 0; i < 7; ++i) points.push_back(Vector{rng.normal(), rng.normal()});
-  const Vector med = agg::geometric_median(points, 1e-12, 500);
+  const Vector med = geometric_median(points, 1e-12, 500);
   Vector subgradient(2);
   for (const auto& p : points) {
     const double dist = linalg::distance(med, p);
@@ -268,7 +290,7 @@ TEST_P(CgeStructure, OutputIsSumOfSmallestNormSubset) {
   }
   const agg::CgeAggregator rule;
   const Vector out = rule.aggregate(grads, f);
-  const auto kept = agg::CgeAggregator::kept_indices(grads, f);
+  const auto kept = reference::cge_kept_indices(grads, f);
   ASSERT_EQ(kept.size(), static_cast<std::size_t>(n - f));
   Vector expected(3);
   double max_kept_norm = 0.0;
@@ -303,6 +325,50 @@ TEST(Registry, ConstructsEveryKnownRule) {
     EXPECT_EQ(rule->name(), name);
   }
   EXPECT_THROW(agg::make_aggregator("nope"), std::invalid_argument);
+}
+
+TEST(Registry, UsableFContractIsExact) {
+  // Engines clamp the declared f into [min_usable_f(), max_usable_f(n)], so
+  // every f in that range must run, and every f outside it must be rejected
+  // with invalid_argument — in every mode and lane.
+  struct Lane {
+    agg::AggMode mode;
+    agg::Precision precision;
+    const char* label;
+  };
+  const Lane lanes[] = {{agg::AggMode::exact, agg::Precision::f64, "exact"},
+                        {agg::AggMode::fast, agg::Precision::f64, "fast/f64"},
+                        {agg::AggMode::fast, agg::Precision::f32, "fast/f32"}};
+  util::Rng rng(1301);
+  agg::GradientBatch batch;
+  Vector out;
+  for (const auto name : agg::aggregator_names()) {
+    const auto rule = agg::make_aggregator(name);
+    for (const auto& lane : lanes) {
+      agg::AggregatorWorkspace ws;
+      ws.mode = lane.mode;
+      ws.precision = lane.precision;
+      for (const int d : {3, 600}) {
+        for (int n = 1; n <= 20; ++n) {
+          batch.reshape(n, d);
+          for (int i = 0; i < n; ++i) {
+            for (double& x : batch.row(i)) x = rng.normal();
+          }
+          for (int f = 0; f < n; ++f) {
+            const bool usable = f >= rule->min_usable_f() && f <= rule->max_usable_f(n);
+            bool threw = false;
+            try {
+              rule->aggregate_into(out, batch, f, ws);
+            } catch (const std::invalid_argument&) {
+              threw = true;
+            }
+            EXPECT_EQ(threw, !usable) << name << " " << lane.label << " n=" << n << " f=" << f
+                                      << " d=" << d;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,8 +463,6 @@ TEST(GradientBatch, PackRoundTrips) {
   EXPECT_EQ(batch.rows(), 3);
   EXPECT_EQ(batch.cols(), 2);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(batch.unpack_row(i), grads[static_cast<std::size_t>(i)]);
-  const auto unpacked = batch.unpack();
-  EXPECT_EQ(unpacked, grads);
 }
 
 TEST(GradientBatch, ReshapeReusesStorageAndSetRowWrites) {
@@ -420,25 +484,6 @@ TEST(GradientBatch, PackRejectsBadInput) {
   EXPECT_THROW(batch.pack(ragged), std::invalid_argument);
 }
 
-TEST(BatchedAdapter, DefaultRoutesThroughSpanPath) {
-  // A rule that only implements the span API still works batched via the
-  // base-class adapter.
-  class SpanOnlyMean final : public agg::GradientAggregator {
-   public:
-    [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override {
-      agg::validate_gradients(gradients, f);
-      return linalg::mean(gradients);
-    }
-    [[nodiscard]] std::string_view name() const noexcept override { return "span-only-mean"; }
-  };
-  const SpanOnlyMean rule;
-  const auto grads = make_gradients({Vector{2.0, 0.0}, Vector{0.0, 2.0}});
-  agg::GradientBatch batch;
-  batch.pack(grads);
-  agg::AggregatorWorkspace ws;
-  EXPECT_EQ(rule.aggregate_batched(batch, 0, ws), (Vector{1.0, 1.0}));
-}
-
 namespace parity {
 
 std::vector<Vector> random_gradients(util::Rng& rng, int n, int d, double scale = 1.0) {
@@ -452,18 +497,19 @@ std::vector<Vector> random_gradients(util::Rng& rng, int n, int d, double scale 
   return grads;
 }
 
-/// Asserts the batched path agrees with the span path to 1e-12 (relative to
-/// the output's own magnitude), or that both paths reject the shape.
-void expect_parity(const agg::GradientAggregator& rule, std::span<const Vector> grads, int f,
-                   agg::AggregatorWorkspace& ws, const std::string& label) {
+/// Asserts the batched kernel agrees with the reference rule to 1e-12
+/// (relative to the output's own magnitude), or that both reject the shape.
+void expect_parity(const reference::Rule& oracle, const agg::GradientAggregator& rule,
+                   std::span<const Vector> grads, int f, agg::AggregatorWorkspace& ws,
+                   const std::string& label) {
   agg::GradientBatch batch;
   batch.pack(grads);
-  Vector legacy;
-  bool legacy_threw = false;
+  Vector expected;
+  bool expected_threw = false;
   try {
-    legacy = rule.aggregate(grads, f);
+    expected = oracle(grads, f);
   } catch (const std::invalid_argument&) {
-    legacy_threw = true;
+    expected_threw = true;
   }
   Vector batched;
   bool batched_threw = false;
@@ -472,12 +518,13 @@ void expect_parity(const agg::GradientAggregator& rule, std::span<const Vector> 
   } catch (const std::invalid_argument&) {
     batched_threw = true;
   }
-  ASSERT_EQ(legacy_threw, batched_threw) << label << ": one path rejected the shape";
-  if (legacy_threw) return;
-  ASSERT_EQ(legacy.dim(), batched.dim()) << label;
-  const double tol = 1e-12 * std::max(1.0, legacy.norm_inf());
-  for (int k = 0; k < legacy.dim(); ++k) {
-    ASSERT_NEAR(legacy[k], batched[k], tol) << label << " coordinate " << k;
+  ASSERT_EQ(expected_threw, batched_threw)
+      << label << ": only one of oracle and kernel rejected the shape";
+  if (expected_threw) return;
+  ASSERT_EQ(expected.dim(), batched.dim()) << label;
+  const double tol = 1e-12 * std::max(1.0, expected.norm_inf());
+  for (int k = 0; k < expected.dim(); ++k) {
+    ASSERT_NEAR(expected[k], batched[k], tol) << label << " coordinate " << k;
   }
 }
 
@@ -497,7 +544,7 @@ TEST(BatchedParity, AllRegistryRulesAcrossShapes) {
     const auto rule = agg::make_aggregator(name);
     for (const auto& s : shapes) {
       const auto grads = parity::random_gradients(rng, s.n, s.d);
-      parity::expect_parity(*rule, grads, s.f,  ws,
+      parity::expect_parity(reference::rule(name), *rule, grads, s.f, ws,
                             std::string(name) + " n=" + std::to_string(s.n) +
                                 " d=" + std::to_string(s.d) + " f=" + std::to_string(s.f));
     }
@@ -520,7 +567,8 @@ TEST(BatchedParity, DuplicateHeavyColumns) {
       }
       grads.push_back(std::move(g));
     }
-    parity::expect_parity(*rule, grads, f, ws, std::string(name) + " duplicates");
+    parity::expect_parity(reference::rule(name), *rule, grads, f, ws,
+                          std::string(name) + " duplicates");
   }
 }
 
@@ -531,7 +579,8 @@ TEST(BatchedParity, LargeNSelectionFallback) {
   const auto grads = parity::random_gradients(rng, 300, 3, 2.0);
   for (const auto name : {"cwtm", "cwmed", "normclip", "cge"}) {
     const auto rule = agg::make_aggregator(name);
-    parity::expect_parity(*rule, grads, 60, ws, std::string(name) + " n=300");
+    parity::expect_parity(reference::rule(name), *rule, grads, 60, ws,
+                          std::string(name) + " n=300");
   }
 }
 
@@ -576,8 +625,8 @@ TEST(BatchedParity, GramCancellationGuard) {
   // Gradients sharing a huge common component while differing by tiny
   // deltas: the naive Gram identity loses all digits of the pairwise
   // distances here, so this locks in the guarded recompute.  The batched
-  // Krum family must still rank the outlier-adjacent scores like the span
-  // path's direct distances do.
+  // Krum family must still rank the outlier-adjacent scores like the
+  // reference rules' direct distances do.
   util::Rng rng(86);
   const int n = 9, d = 6, f = 1;
   std::vector<Vector> grads;
@@ -589,7 +638,8 @@ TEST(BatchedParity, GramCancellationGuard) {
   agg::AggregatorWorkspace ws;
   for (const auto name : {"krum", "multikrum", "bulyan", "geomed", "cclip"}) {
     const auto rule = agg::make_aggregator(name);
-    parity::expect_parity(*rule, grads, f, ws, std::string(name) + " gram-cancellation");
+    parity::expect_parity(reference::rule(name), *rule, grads, f, ws,
+                          std::string(name) + " gram-cancellation");
   }
 }
 
@@ -599,7 +649,10 @@ TEST(BatchedParity, ClippedInputAdapterMatches) {
   const agg::CwtmAggregator inner;
   const agg::ClippedInputAggregator rule(inner);
   agg::AggregatorWorkspace ws;
-  parity::expect_parity(rule, grads, 2, ws, "clipped-input");
+  const auto oracle = [](std::span<const Vector> g, int f) {
+    return reference::clipped_input(reference::cwtm, g, f);
+  };
+  parity::expect_parity(oracle, rule, grads, 2, ws, "clipped-input");
 }
 
 }  // namespace

@@ -380,14 +380,15 @@ TEST(F32Lane, PrecisionKnobDefaultsAndGating) {
 }
 
 TEST(F32Lane, OutOfFloatRangeRowsRunTheF64Lane) {
-  // Two Byzantine rows of finite doubles beyond float range (alternating
-  // sign per coordinate) would demote to +-inf.  The demotion pass detects
-  // them, and the whole call runs the f64 fast lane: the f32 request must
-  // then be finite and bitwise equal to fast/f64, for every rule (d = 600
-  // clears the f32 distance-lane gate).
+  // Two Byzantine rows alternating sign per coordinate.  Finite doubles
+  // beyond float range would demote to +-inf; in-range ones from ~1e20 up
+  // overflow the float distance sums (diff^2 ~ 4e40).  The demotion pass
+  // flags every entry above B(d), and the whole call runs the f64 fast
+  // lane: the f32 request must then be finite and bitwise equal to
+  // fast/f64, for every rule (d = 600 clears the f32 distance-lane gate).
   const int n = 15, d = 600, f = 2;
   util::Rng rng(391);
-  for (const double magnitude : {1e39, 1e100}) {
+  for (const double magnitude : {1e20, 1e30, 3e38, 1e39, 1e100}) {
     auto batch = random_batch(rng, n, d, 1.0);
     for (int i = 0; i < f; ++i) {
       auto row = batch.row(i);

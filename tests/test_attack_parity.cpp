@@ -1,10 +1,12 @@
-// Attack-path parity: every fault behaviour applied through the new in-place
-// row mutation API (emit_into on batch rows) must match the legacy
-// std::vector<Vector> path (emit) bit for bit — same payloads, same rng
-// stream consumption — including when the output row aliases the true
-// gradient, which is how the batched drivers call it.
+// Attack-path parity: every fault behaviour's emit_into must write the same
+// payload bit for bit, with the same rng stream consumption, whether its
+// output row aliases the true gradient (how the batched drivers call it) or
+// is a separate buffer; and the honest-row view's indirection must not
+// matter.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
@@ -15,20 +17,17 @@
 namespace {
 
 using namespace abft;
-using attack::AttackContext;
 using attack::FaultModel;
 using attack::HonestRowsView;
 using attack::RowAttackContext;
 using linalg::Vector;
 
-/// A deterministic but irregular honest family plus estimate/true gradient,
-/// materialized both as Vectors (legacy) and as rows of a GradientBatch
-/// (batched) so the two paths see identical inputs.
+/// A deterministic but irregular honest family, stored as rows of a
+/// GradientBatch, plus estimate and true gradient.
 struct ParityFixture {
   int d = 7;
   Vector estimate;
   Vector true_gradient;
-  std::vector<Vector> honest;
   agg::GradientBatch payloads;  // honest rows at 0..h-1, faulty row last
   std::vector<int> honest_rows;
 
@@ -45,13 +44,8 @@ struct ParityFixture {
       Vector g(d);
       for (int k = 0; k < d; ++k) g[k] = rng.normal(static_cast<double>(i), 1.5);
       payloads.set_row(i, g);
-      honest.push_back(std::move(g));
       honest_rows.push_back(i);
     }
-  }
-
-  [[nodiscard]] AttackContext legacy_context(int round = 3) const {
-    return AttackContext{estimate, true_gradient, honest, round};
   }
 
   [[nodiscard]] RowAttackContext row_context(std::span<const double> tg, int round = 3) const {
@@ -60,36 +54,36 @@ struct ParityFixture {
   }
 };
 
-/// Runs both paths from identical rng states and checks payload and rng
-/// stream parity.  `alias` additionally exercises the drivers' calling
-/// convention where the output row holds (and aliases) the true gradient.
+/// Runs emit_into from identical rng states twice — once into a separate
+/// buffer, once into the faulty batch row holding (and aliasing) the true
+/// gradient, the drivers' calling convention — and checks payload and rng
+/// stream parity.
 void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3) {
-  for (const bool alias : {false, true}) {
-    ParityFixture fx(honest_count);
-    util::Rng legacy_rng(99);
-    util::Rng row_rng(99);
+  ParityFixture fx(honest_count);
+  util::Rng separate_rng(99);
+  util::Rng alias_rng(99);
 
-    const auto legacy = fault.emit(fx.legacy_context(round), legacy_rng);
+  const std::vector<double> tg(fx.true_gradient.coefficients().begin(),
+                               fx.true_gradient.coefficients().end());
+  std::vector<double> separate(tg.size(), 0.0);
+  const bool separate_sent = fault.emit_into(separate, fx.row_context(tg, round), separate_rng);
 
-    const int faulty_row = static_cast<int>(fx.honest_rows.size());
-    fx.payloads.set_row(faulty_row, fx.true_gradient);
-    auto out = fx.payloads.row(faulty_row);
-    std::vector<double> tg_copy(out.begin(), out.end());
-    const std::span<const double> tg =
-        alias ? std::span<const double>(out) : std::span<const double>(tg_copy);
-    const bool sent = fault.emit_into(out, fx.row_context(tg, round), row_rng);
+  const int faulty_row = static_cast<int>(fx.honest_rows.size());
+  fx.payloads.set_row(faulty_row, fx.true_gradient);
+  auto out = fx.payloads.row(faulty_row);
+  const bool alias_sent = fault.emit_into(out, fx.row_context(out, round), alias_rng);
 
-    ASSERT_EQ(sent, legacy.has_value()) << fault.name() << " alias=" << alias;
-    if (sent) {
-      for (int k = 0; k < fx.d; ++k) {
-        EXPECT_EQ(out[static_cast<std::size_t>(k)], (*legacy)[k])
-            << fault.name() << " alias=" << alias << " coordinate " << k;
-      }
+  ASSERT_EQ(alias_sent, separate_sent) << fault.name();
+  if (alias_sent) {
+    for (int k = 0; k < fx.d; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[kk]), std::bit_cast<std::uint64_t>(separate[kk]))
+          << fault.name() << " coordinate " << k;
     }
-    // Identical stream consumption: the generators must continue in lockstep.
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(legacy_rng.next_u64(), row_rng.next_u64()) << fault.name();
-    }
+  }
+  // Identical stream consumption: the generators must continue in lockstep.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(separate_rng.next_u64(), alias_rng.next_u64()) << fault.name();
   }
 }
 
@@ -131,27 +125,6 @@ TEST(AttackParity, MimicSmallest) { expect_parity(attack::MimicSmallestFault{});
 
 TEST(AttackParity, MimicSmallestNoHonest) {
   expect_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
-}
-
-/// A third-party fault that only implements the legacy emit(): the base
-/// class adapter must feed it a faithfully reconstructed legacy context.
-class LegacyOnlyFault final : public FaultModel {
- public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override {
-    // Mixes every context field with one rng draw so any adapter slip shows.
-    Vector out = context.true_gradient;
-    for (const auto& g : context.honest_gradients) out += g;
-    out.add_scaled(0.5, context.estimate);
-    out *= 1.0 + 0.01 * static_cast<double>(context.round);
-    out[0] += rng.uniform();
-    return out;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return "legacy-only"; }
-};
-
-TEST(AttackParity, DefaultAdapterReconstructsLegacyContext) {
-  expect_parity(LegacyOnlyFault{});
 }
 
 TEST(AttackParity, RowIndirectionInvariant) {

@@ -52,24 +52,6 @@ TEST(SyncNetworkEdge, SilentPayloadConsumesNoDropRandomness) {
   EXPECT_EQ(without.messages_sent(), 50);
 }
 
-TEST(SyncNetworkEdge, TransmitRowMatchesLegacyTransmit) {
-  sim::SyncNetwork row_net(0.4, 99);
-  sim::SyncNetwork legacy_net(0.4, 99);
-  std::vector<double> payload{1.5, -2.5};
-  std::vector<double> dst(2, 0.0);
-  for (int k = 0; k < 40; ++k) {
-    const bool delivered = row_net.transmit_row(0, k, payload, dst);
-    const auto received =
-        legacy_net.transmit(0, k, Vector(std::vector<double>(payload.begin(), payload.end())));
-    ASSERT_EQ(delivered, received.has_value()) << "round " << k;
-    if (delivered) {
-      EXPECT_EQ(dst[0], (*received)[0]);
-      EXPECT_EQ(dst[1], (*received)[1]);
-    }
-  }
-  EXPECT_EQ(row_net.messages_dropped(), legacy_net.messages_dropped());
-}
-
 // ------------------------------ driver level --------------------------------
 
 std::vector<opt::SquaredDistanceCost> centers(int n) {

@@ -47,8 +47,10 @@ TEST(Roster, RejectsNullCosts) {
 
 TEST(Network, DropInjectionCountsMessages) {
   sim::SyncNetwork network(1.0, 7);  // drop everything
-  const auto delivered = network.transmit(0, 0, Vector{1.0});
-  EXPECT_FALSE(delivered.has_value());
+  const std::vector<double> payload{1.0};
+  std::vector<double> dst{0.0};
+  EXPECT_FALSE(network.transmit_row(0, 0, payload, dst));
+  EXPECT_EQ(dst[0], 0.0);
   EXPECT_EQ(network.messages_sent(), 1);
   EXPECT_EQ(network.messages_dropped(), 1);
   EXPECT_THROW(sim::SyncNetwork(1.5, 0), std::invalid_argument);
@@ -57,11 +59,14 @@ TEST(Network, DropInjectionCountsMessages) {
 TEST(Network, TranscriptRecordsWhenEnabled) {
   sim::SyncNetwork network(0.0, 0);
   network.record_transcript(true);
-  network.transmit(3, 1, Vector{2.0});
-  network.transmit(4, 1, std::nullopt);
+  const std::vector<double> payload{2.0};
+  std::vector<double> dst{0.0};
+  EXPECT_TRUE(network.transmit_row(3, 1, payload, dst));
+  EXPECT_FALSE(network.transmit_row(4, 1, {}, dst));  // silent agent
   ASSERT_EQ(network.transcript().size(), 2u);
   EXPECT_EQ(network.transcript()[0].agent, 3);
-  EXPECT_TRUE(network.transcript()[0].payload.has_value());
+  ASSERT_TRUE(network.transcript()[0].payload.has_value());
+  EXPECT_EQ(*network.transcript()[0].payload, Vector{2.0});
   EXPECT_FALSE(network.transcript()[1].payload.has_value());
 }
 
