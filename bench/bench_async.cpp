@@ -48,18 +48,18 @@ double sync_reference(const sweep::SweepSpec& spec) {
   for (const auto& [key, value] : spec.base.as_object()) {
     if (key != "async") members.emplace_back(key, value);
   }
+  const auto& seeds = spec.find_axis("seed")->values;
   double total = 0.0;
-  for (const std::uint64_t seed : spec.seed) {
+  for (const auto& seed : seeds) {
     auto run_members = members;
-    run_members.emplace_back("seed",
-                             util::JsonValue::make_number(static_cast<double>(seed)));
+    run_members.emplace_back("seed", seed.value);
     const auto result = scenario::run_scenario(
         scenario::parse_scenario(util::JsonValue::make_object(std::move(run_members))));
     ABFT_REQUIRE(result.distance_to_reference.has_value(),
                  "the async grid's base problem must have a closed-form reference");
     total += *result.distance_to_reference;
   }
-  return total / static_cast<double>(spec.seed.size());
+  return total / static_cast<double>(seeds.size());
 }
 
 }  // namespace
@@ -69,10 +69,11 @@ int main(int argc, char** argv) {
   auto spec = fig::load_sweep_spec("sweep_async.json");
   sweep::set_base_member(&spec, "mode",
                          util::JsonValue::make_string(std::string(agg::to_string(options.mode))));
-  ABFT_REQUIRE(!spec.seed.empty(), "sweep_async.json must sweep a seed axis");
+  const sweep::SweptAxis* seeds = spec.find_axis("seed");
+  ABFT_REQUIRE(seeds != nullptr, "sweep_async.json must sweep a seed axis");
 
   std::cout << "Async quorum-or-deadline engine — " << spec.name << "\n"
-            << "mode: " << agg::to_string(options.mode) << ", " << spec.seed.size()
+            << "mode: " << agg::to_string(options.mode) << ", " << seeds->values.size()
             << " seeds per cell; dist = ||x_T - x_H|| averaged over seeds\n\n";
 
   const auto outcome = sweep::run_sweep(spec);

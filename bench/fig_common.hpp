@@ -87,13 +87,15 @@ inline std::vector<FigureData> run_figures(int iterations, agg::AggMode mode,
   sweep::set_base_member(&spec, "iterations", util::JsonValue::make_number(iterations));
   sweep::set_base_member(&spec, "mode",
                          util::JsonValue::make_string(std::string(agg::to_string(mode))));
+  sweep::SweptAxis* attacks = spec.find_axis("faults");
+  ABFT_REQUIRE(attacks != nullptr, "sweep_fig2.json must sweep a faults axis");
   if (!attack_filter.empty()) {
-    std::erase_if(spec.faults,
-                  [&](const sweep::FaultPreset& preset) { return preset.label != attack_filter; });
-    // An empty axis would expand as "not swept" and silently render the
-    // un-attacked base as the requested panel — the filter strings here and
-    // the committed preset labels must stay in lockstep.
-    ABFT_REQUIRE(!spec.faults.empty(),
+    std::erase_if(attacks->values,
+                  [&](const sweep::AxisValue& preset) { return preset.label != attack_filter; });
+    // An empty axis would fail the expansion with a generic message — the
+    // filter strings here and the committed preset labels must stay in
+    // lockstep.
+    ABFT_REQUIRE(!attacks->values.empty(),
                  "sweep_fig2.json has no fault preset with the requested label");
   }
   const auto outcome = sweep::run_sweep(spec);
@@ -118,7 +120,7 @@ inline std::vector<FigureData> run_figures(int iterations, agg::AggMode mode,
   // The attack-contiguity grouping above assumes faults x variants are the
   // only swept axes; an extra axis in the committed spec (whose cells this
   // renderer would not show) must fail loudly, not duplicate panels.
-  ABFT_REQUIRE(figures.size() == spec.faults.size(),
+  ABFT_REQUIRE(figures.size() == attacks->values.size(),
                "sweep_fig2.json must sweep exactly the faults and variants axes");
   return figures;
 }

@@ -66,10 +66,9 @@ void CwmedAggregator::aggregate_into(Vector& out, const GradientBatch& batch, in
   resize_output(out, d);
   auto result = out.coefficients();
   // The rank-classified median picks the same element(s) as nth_element, so
-  // unlike CWTM the routing truly never changes output here; exact mode
-  // still pins the constant crossover so its code path (and therefore its
-  // performance profile) is reproducible, while fast mode calibrates.  The
-  // ABFT_RANK_KERNEL_CUTOFF override (0 = rank kernel off) wins in both.
+  // unlike CWTM the routing never changes output here; both modes route by
+  // the constant crossover (ABFT_RANK_KERNEL_CUTOFF overrides it, 0 = rank
+  // kernel off).
   const int rank_cutoff = detail::effective_rank_cutoff(ws.mode);
   const bool use_rank_kernel = n > 1 && n <= rank_cutoff;
   if (ws.demote(batch)) {

@@ -136,10 +136,9 @@ void CwtmAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int
   auto result = out.coefficients();
   const double inv = 1.0 / static_cast<double>(n - 2 * f);
 
-  // Exact mode pins the historical crossover (its summation order must be
-  // reproducible run-to-run); fast mode routes by the per-process
-  // calibration, whose host-dependence its tolerance contract permits.  The
-  // ABFT_RANK_KERNEL_CUTOFF override (0 = rank kernel off) wins in both.
+  // Both modes route by the constant crossover, so the summation order (and
+  // the output bits) never vary between processes; ABFT_RANK_KERNEL_CUTOFF
+  // overrides it (0 = rank kernel off).
   const int rank_cutoff = detail::effective_rank_cutoff(ws.mode);
   if (f > 0 && n <= rank_cutoff) {
     // The f32 rank tile path pays a full demotion pass before the tile

@@ -1,103 +1,18 @@
-// Startup calibration of the rank-kernel cutoff (see rank_kernel.hpp).
-//
-// The O(n^2) branchless rank kernel beats O(n log n) nth_element selection
-// up to some n that depends on the host's SIMD width (a 512-bit host
-// amortizes the inner broadcast-compare loop over twice as many lanes as a
-// 256-bit one).  Instead of hard-coding the crossover, race the two kernels
-// once per process on synthetic columns at a few candidate sizes and keep
-// the largest candidate where the rank kernel still wins.  The whole
-// calibration touches a few hundred KiB and costs well under a millisecond;
-// the result is cached for the lifetime of the process.
 #include "abft/agg/rank_kernel.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <vector>
 
 namespace abft::agg::detail {
 
-namespace {
-
-/// Deterministic xorshift fill — calibration must not consume any seeded
-/// stream the simulations use.
-void fill_pseudorandom(std::vector<double>& column, std::uint64_t seed) {
-  std::uint64_t state = seed | 1u;
-  for (auto& value : column) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    value = static_cast<double>(state >> 11) * (1.0 / 9007199254740992.0) - 0.5;
-  }
-}
-
-template <typename Fn>
-double time_best_of(int repeats, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = clock::now();
-    fn();
-    best = std::min(best,
-                    std::chrono::duration<double>(clock::now() - start).count());
-  }
-  return best;
-}
-
-int calibrate() {
-  constexpr int kCandidates[] = {64, 128, 256, 512};
-  constexpr int kRepeats = 5;
-  std::vector<double> column(static_cast<std::size_t>(kRankKernelCapacity));
-  std::vector<double> scratch(column.size());
-  std::int64_t lt[kRankKernelCapacity];
-  int cutoff = 0;
-  for (const int n : kCandidates) {
-    fill_pseudorandom(column, 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(n));
-    volatile double sink = 0.0;
-    const double rank_s = time_best_of(kRepeats, [&] {
-      rank_counts(column.data(), n, lt);
-      sink = static_cast<double>(lt[0]);
-    });
-    // The competing selection path: copy the column (it is consumed in
-    // place) and run the two nth_element partitions a trimmed sum needs.
-    const int f = std::max(1, n / 5);
-    const double select_s = time_best_of(kRepeats, [&] {
-      std::copy(column.begin(), column.begin() + n, scratch.begin());
-      std::nth_element(scratch.begin(), scratch.begin() + f, scratch.begin() + n);
-      std::nth_element(scratch.begin() + f, scratch.begin() + (n - f - 1),
-                       scratch.begin() + n);
-      sink = scratch[static_cast<std::size_t>(f)];
-    });
-    if (rank_s <= select_s) {
-      cutoff = n;
-    } else {
-      break;  // crossover passed; larger n only gets worse for O(n^2)
-    }
-  }
-  // A cold or heavily loaded machine can make the race inconclusive (the
-  // rank kernel "loses" at every size); fall back to the exact-mode value
-  // rather than disabling the kernel outright.
-  return cutoff == 0 ? kRankKernelExactCutoff : cutoff;
-}
-
-}  // namespace
-
-int rank_kernel_cutoff() {
-  static const int cutoff = calibrate();
-  return cutoff;
-}
-
-int effective_rank_cutoff(AggMode mode) {
-  // The environment override wins in both modes and is parsed on every call
-  // (one getenv, far off the per-column hot loop) so it is never baked into
-  // the calibration cache: ABFT_RANK_KERNEL_CUTOFF=0 reliably forces the
-  // rank kernel off even in exact mode, which previously pinned the
-  // constant crossover unconditionally.
+int effective_rank_cutoff(AggMode /*mode*/) {
+  // Parsed on every call (one getenv, far off the per-column hot loop), so
+  // flipping the override mid-process takes effect immediately.
   if (const char* env = std::getenv("ABFT_RANK_KERNEL_CUTOFF")) {
     const long parsed = std::strtol(env, nullptr, 10);
     return std::clamp(static_cast<int>(parsed), 0, kRankKernelCapacity);
   }
-  return mode == AggMode::fast ? rank_kernel_cutoff() : kRankKernelExactCutoff;
+  return kRankKernelCutoff;
 }
 
 }  // namespace abft::agg::detail

@@ -1,13 +1,17 @@
 #include "abft/sweep/sweep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "abft/agg/registry.hpp"
@@ -23,12 +27,74 @@ namespace {
 using util::JsonValue;
 using Members = std::vector<std::pair<std::string, JsonValue>>;
 
-// ------------------------------- parsing ------------------------------------
+// ------------------------------ axis table ----------------------------------
 
-void require_known_keys(const JsonValue& object, std::string_view where,
-                        std::initializer_list<std::string_view> allowed) {
-  util::require_known_keys(object, "sweep", where, allowed);
+/// What one entry of an axis list looks like.
+enum class ValueKind {
+  string,        // a name; AxisRow::check validates enum axes up front
+  integer,       // an integer >= AxisRow::min, cell printed as an integer
+  seed,          // a seed in [0, 2^53], or the whole list a {"from", "count"} range
+  real,          // any number, cell at 12 significant digits
+  fault_preset,  // {"label", "faults": [fault objects]}
+  patch,         // {"label", "patch": {scenario keys}}
+};
+
+/// How an entry lands at the axis path.
+enum class Write {
+  set,    // replace the member at the path
+  rekey,  // replace the object at the path by {<entry>: <its first member's value>}
+  merge,  // set each member of the entry object (a shallow patch)
+};
+
+struct AxisRow {
+  std::string_view name;
+  std::array<std::string_view, 4> path;  // unused trailing slots stay empty
+  ValueKind kind;
+  int min = 0;
+  void (*check)(std::string_view) = nullptr;
+  Write write = Write::set;
+};
+
+void check_mode(std::string_view mode) { agg::agg_mode_from_string(mode); }
+void check_precision(std::string_view precision) { agg::precision_from_string(precision); }
+void check_reduction_kind(std::string_view kind) {
+  ABFT_REQUIRE(kind == "coreset" || kind == "sample",
+               "reduction_kind axis entries must be \"coreset\" or \"sample\"");
 }
+
+/// Every named axis, in canonical application order (the grid's row-major
+/// order: aggregator outermost, variants innermost and applied last).
+constexpr AxisRow kAxisTable[] = {
+    {"aggregator", {"aggregator"}, ValueKind::string},
+    {"mode", {"mode"}, ValueKind::string, 0, check_mode},
+    {"precision", {"precision"}, ValueKind::string, 0, check_precision},
+    {"f", {"f"}, ValueKind::integer, 0},
+    {"shards", {"aggregator", "hierarchy", "shards"}, ValueKind::integer, 1},
+    {"coreset_size", {"aggregator", "reduction", "coreset", "size"}, ValueKind::integer, 0},
+    {"reduction_kind", {"aggregator", "reduction"}, ValueKind::string, 0, check_reduction_kind,
+     Write::rekey},
+    {"quorum", {"async", "quorum"}, ValueKind::integer, 0},
+    {"staleness_cap", {"async", "staleness_cap"}, ValueKind::integer, 0},
+    {"seed", {"seed"}, ValueKind::seed},
+    {"drop_probability", {"drop_probability"}, ValueKind::real},
+    {"participation", {"axes", "participation"}, ValueKind::real},
+    {"straggler_probability", {"axes", "straggler_probability"}, ValueKind::real},
+    {"faults", {"faults"}, ValueKind::fault_preset},
+    {"variants", {}, ValueKind::patch, 0, nullptr, Write::merge},
+};
+
+const AxisRow& row_of(std::string_view name) {
+  for (const auto& row : kAxisTable) {
+    if (row.name == name) return row;
+  }
+  throw std::invalid_argument("sweep: unknown axis \"" + std::string(name) + "\"");
+}
+
+std::span<const std::string_view> path_of(const AxisRow& row) {
+  return {row.path.begin(), std::find(row.path.begin(), row.path.end(), std::string_view{})};
+}
+
+// ------------------------------- parsing ------------------------------------
 
 /// The JSON reader resolves duplicate keys last-wins; a sweep block where
 /// the same axis appears twice is a spec contradicting itself, so it must
@@ -44,56 +110,26 @@ void reject_duplicate_keys(const JsonValue& object, std::string_view where) {
   }
 }
 
-std::vector<std::string> parse_string_axis(const JsonValue& values, std::string_view axis) {
-  std::vector<std::string> out;
-  for (const auto& value : values.as_array()) out.push_back(value.as_string());
-  if (out.empty()) {
-    throw std::invalid_argument("sweep: the " + std::string(axis) + " axis list is empty");
+/// Run-id / CSV token: labels are free-form, ids must stay shell- and
+/// csv-friendly.
+std::string sanitize_token(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    out.push_back(keep ? c : '-');
   }
-  return out;
+  return out.empty() ? std::string("-") : out;
 }
-
-std::vector<double> parse_number_axis(const JsonValue& values) {
-  std::vector<double> out;
-  for (const auto& value : values.as_array()) out.push_back(value.as_number());
-  ABFT_REQUIRE(!out.empty(), "sweep axis lists must be non-empty");
-  return out;
-}
-
-std::uint64_t checked_seed(double value) {
-  ABFT_REQUIRE(value >= 0.0 && value <= 9007199254740992.0 && value == std::floor(value),
-               "sweep seeds must be integers in [0, 2^53]");
-  return static_cast<std::uint64_t>(value);
-}
-
-/// Seed axis: an explicit list, or a contiguous range {"from": s, "count": n}.
-std::vector<std::uint64_t> parse_seed_axis(const JsonValue& values) {
-  std::vector<std::uint64_t> out;
-  if (values.is_object()) {
-    require_known_keys(values, "seed range", {"from", "count"});
-    const std::uint64_t from = checked_seed(values.at("from").as_number());
-    const double count = values.at("count").as_number();
-    ABFT_REQUIRE(count >= 1.0 && count == std::floor(count) && count <= 1e6,
-                 "seed range count must be an integer in [1, 1e6]");
-    for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(count); ++i) {
-      out.push_back(from + i);
-    }
-    return out;
-  }
-  for (const auto& value : values.as_array()) out.push_back(checked_seed(value.as_number()));
-  ABFT_REQUIRE(!out.empty(), "sweep axis lists must be non-empty");
-  return out;
-}
-
-std::string sanitize_token(std::string_view text);
 
 /// Labels are compared after run-id/CSV sanitization: two labels that only
 /// differ in characters the tokens drop (e.g. "a b" vs "a-b") would emit
 /// indistinguishable axis cells and run ids, so they are duplicates too.
-void reject_duplicate_labels(const std::vector<std::string>& labels, std::string_view axis) {
+void reject_duplicate_labels(const std::vector<AxisValue>& values, std::string_view axis) {
   std::vector<std::string> sorted;
-  sorted.reserve(labels.size());
-  for (const auto& label : labels) sorted.push_back(sanitize_token(label));
+  sorted.reserve(values.size());
+  for (const auto& value : values) sorted.push_back(sanitize_token(value.label));
   std::sort(sorted.begin(), sorted.end());
   const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
   if (dup != sorted.end()) {
@@ -104,50 +140,116 @@ void reject_duplicate_labels(const std::vector<std::string>& labels, std::string
   }
 }
 
-/// A named axis re-specifying a key the base already sets would make the
-/// spec contradict itself (which value did the author mean?) — reject.
-/// Variants are exempt: a patch exists to override, and applies last.
-void reject_base_conflict(const SweepSpec& spec, std::string_view axis, bool swept) {
-  if (!swept) return;
-  const JsonValue* collision = nullptr;
-  if (axis == "participation" || axis == "straggler_probability") {
-    if (const auto* axes = spec.base.find("axes")) collision = axes->find(axis);
-  } else if (axis == "quorum" || axis == "staleness_cap") {
-    // Lives one level down, at base.async.{quorum, staleness_cap}.
-    if (const auto* async = spec.base.find("async")) collision = async->find(axis);
-  } else if (axis == "shards") {
-    // Lives two levels down, at base.aggregator.hierarchy.shards.
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) {
-        if (const auto* hierarchy = aggregator->find("hierarchy")) {
-          collision = hierarchy->find(axis);
-        }
+std::uint64_t checked_seed(double value) {
+  ABFT_REQUIRE(value >= 0.0 && value <= 9007199254740992.0 && value == std::floor(value),
+               "sweep seeds must be integers in [0, 2^53]");
+  return static_cast<std::uint64_t>(value);
+}
+
+/// Seed cells print the integer itself: format_json_number's 12 significant
+/// digits would turn 9007199254740990 into 9.00719925474e+15.
+AxisValue seed_value(std::uint64_t seed) {
+  return {std::to_string(seed), JsonValue::make_number(static_cast<double>(seed))};
+}
+
+/// Parses and validates one entry of an axis list.
+AxisValue parse_entry(const AxisRow& row, const JsonValue& entry) {
+  switch (row.kind) {
+    case ValueKind::string:
+      if (row.check != nullptr) row.check(entry.as_string());
+      return {entry.as_string(), entry};
+    case ValueKind::integer: {
+      const double value = entry.as_number();
+      if (!(value >= row.min && value <= INT_MAX && value == std::floor(value))) {
+        throw std::invalid_argument("sweep: " + std::string(row.name) +
+                                    " axis entries must be integers >= " +
+                                    std::to_string(row.min));
       }
+      return {std::to_string(static_cast<int>(value)), entry};
     }
-  } else if (axis == "coreset_size") {
-    // Lives three levels down, at base.aggregator.reduction.coreset.size.
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) {
-        if (const auto* reduction = aggregator->find("reduction")) {
-          if (const auto* coreset = reduction->find("coreset")) {
-            collision = coreset->find("size");
-          }
-        }
-      }
-    }
-  } else if (axis == "reduction_kind") {
-    // Re-keys base.aggregator.reduction wholesale, so any base reduction
-    // block conflicts (the base kind would be silently replaced).
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) collision = aggregator->find("reduction");
+    case ValueKind::seed:
+      return seed_value(checked_seed(entry.as_number()));
+    case ValueKind::real:
+      return {util::format_json_number(entry.as_number()), entry};
+    case ValueKind::fault_preset:
+    case ValueKind::patch:
+      break;
+  }
+  const bool preset = row.kind == ValueKind::fault_preset;
+  const std::string_view member = preset ? "faults" : "patch";
+  util::require_known_keys(entry, "sweep", preset ? "fault preset" : "variant",
+                           {"label", member});
+  AxisValue value{entry.at("label").as_string(), entry.at(member)};
+  ABFT_REQUIRE(preset ? value.value.is_array() : value.value.is_object(),
+               "a fault preset's faults must be an array, a variant's patch an object");
+  if (!preset) reject_duplicate_keys(value.value, "variant patch \"" + value.label + "\"");
+  return value;
+}
+
+/// Parses one axis list (a seed axis also takes a contiguous range
+/// {"from": s, "count": n}) up front, so a malformed grid fails before any
+/// run starts.
+std::vector<AxisValue> parse_values(const AxisRow& row, const JsonValue& list) {
+  std::vector<AxisValue> out;
+  if (row.kind == ValueKind::seed && list.is_object()) {
+    util::require_known_keys(list, "sweep", "seed range", {"from", "count"});
+    const std::uint64_t from = checked_seed(list.at("from").as_number());
+    const double count = list.at("count").as_number();
+    ABFT_REQUIRE(count >= 1.0 && count == std::floor(count) && count <= 1e6,
+                 "seed range count must be an integer in [1, 1e6]");
+    for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(count); ++i) {
+      out.push_back(seed_value(from + i));
     }
   } else {
-    collision = spec.base.find(axis);
+    for (const auto& entry : list.as_array()) out.push_back(parse_entry(row, entry));
   }
-  if (collision != nullptr) {
-    std::ostringstream os;
-    os << "sweep: axis \"" << axis << "\" is also set in the base spec — remove one";
-    throw std::invalid_argument(os.str());
+  if (out.empty()) {
+    throw std::invalid_argument("sweep: the " + std::string(row.name) + " axis list is empty");
+  }
+  reject_duplicate_labels(out, row.name);
+  return out;
+}
+
+/// An axis re-specifying a key the base already sets would make the spec
+/// contradict itself (which value did the author mean?) — reject, as well as
+/// a base member the axis path must descend through that is not an object.
+/// Variants are exempt: a patch exists to override, and applies last.
+void reject_base_conflict(const JsonValue& base, const AxisRow& row) {
+  if (row.write == Write::merge) return;
+  const JsonValue* node = &base;
+  std::string_view parent = "base";
+  for (const std::string_view key : path_of(row)) {
+    if (!node->is_object()) {
+      throw std::invalid_argument("sweep: the " + std::string(row.name) +
+                                  " axis writes inside base \"" + std::string(parent) +
+                                  "\", which is not an object");
+    }
+    node = node->find(key);
+    if (node == nullptr) return;
+    parent = key;
+  }
+  throw std::invalid_argument("sweep: axis \"" + std::string(row.name) +
+                              "\" is also set in the base spec — remove one");
+}
+
+/// An axis that sets a value at a strict prefix of another swept axis's path
+/// would replace the object the other one writes into (an aggregator string
+/// vs the shards / coreset_size / reduction_kind objects) — reject; such
+/// rows are variants.  The re-keying reduction_kind write keeps the inner
+/// object, so it composes with coreset_size.
+void reject_clobbering(const std::vector<SweptAxis>& axes) {
+  for (const auto& outer : axes) {
+    const AxisRow& row = row_of(outer.name);
+    if (row.write != Write::set) continue;
+    const auto prefix = path_of(row);
+    for (const auto& inner : axes) {
+      const auto path = path_of(row_of(inner.name));
+      if (path.size() > prefix.size() && std::equal(prefix.begin(), prefix.end(), path.begin())) {
+        throw std::invalid_argument("sweep: the " + outer.name +
+                                    " axis would clobber the object the " + inner.name +
+                                    " axis writes into — use variants instead");
+      }
+    }
   }
 }
 
@@ -163,112 +265,26 @@ void set_member(Members& members, std::string_view key, JsonValue value) {
   members.emplace_back(std::string(key), std::move(value));
 }
 
-/// Sets one key inside the spec's "axes" sub-object (creating it if the base
-/// has none) — the participation / straggler axes live a level down.
-void set_axes_member(Members& members, std::string_view key, double value) {
-  Members axes_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "axes") axes_members = existing.as_object();
+/// Returns `node` (nullptr = absent) with `value` written at `path`, creating
+/// missing objects on the way down.
+JsonValue write_at(const JsonValue* node, std::span<const std::string_view> path, Write write,
+                   const JsonValue& value) {
+  if (path.empty() && write == Write::set) return value;
+  Members members = node != nullptr ? node->as_object() : Members{};
+  if (!path.empty()) {
+    set_member(members, path.front(),
+               write_at(node != nullptr ? node->find(path.front()) : nullptr, path.subspan(1),
+                        write, value));
+  } else if (write == Write::rekey) {
+    JsonValue inner = members.empty() ? JsonValue::make_object({}) : members.front().second;
+    members = {{value.as_string(), std::move(inner)}};
+  } else {
+    for (const auto& [key, member] : value.as_object()) set_member(members, key, member);
   }
-  set_member(axes_members, key, JsonValue::make_number(value));
-  set_member(members, "axes", JsonValue::make_object(std::move(axes_members)));
-}
-
-/// Sets one key inside the spec's "async" sub-object (creating it if the
-/// base has none — an absent async block becomes the default
-/// quorum-or-deadline config) — the quorum / staleness_cap axes live a
-/// level down.
-void set_async_member(Members& members, std::string_view key, double value) {
-  Members async_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "async") async_members = existing.as_object();
-  }
-  set_member(async_members, key, JsonValue::make_number(value));
-  set_member(members, "async", JsonValue::make_object(std::move(async_members)));
-}
-
-/// Sets one key inside "aggregator"/"hierarchy" (creating both levels if
-/// absent — an absent base aggregator becomes a default hierarchy) — the
-/// shards axis lives two levels down.  parse_sweep has already rejected a
-/// non-object base aggregator.
-void set_hierarchy_member(Members& members, std::string_view key, double value) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members hierarchy_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "hierarchy") hierarchy_members = existing.as_object();
-  }
-  set_member(hierarchy_members, key, JsonValue::make_number(value));
-  set_member(aggregator_members, "hierarchy",
-             JsonValue::make_object(std::move(hierarchy_members)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
-}
-
-/// Sets "aggregator"/"reduction"/"coreset"/"size" (creating every level if
-/// absent — an absent base aggregator becomes a default-rule coreset
-/// reduction) — the coreset_size axis lives three levels down.  parse_sweep
-/// has already rejected a non-object base aggregator.  Existing aggregator
-/// members (e.g. a hierarchy block the shards axis writes) are preserved,
-/// so the two axes compose into per-shard coresets.
-void set_coreset_member(Members& members, double value) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members reduction_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "reduction") reduction_members = existing.as_object();
-  }
-  Members coreset_members;
-  for (const auto& [name, existing] : reduction_members) {
-    if (name == "coreset") coreset_members = existing.as_object();
-  }
-  set_member(coreset_members, "size", JsonValue::make_number(value));
-  set_member(reduction_members, "coreset", JsonValue::make_object(std::move(coreset_members)));
-  set_member(aggregator_members, "reduction",
-             JsonValue::make_object(std::move(reduction_members)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
-}
-
-/// Re-keys "aggregator"/"reduction" to {"<kind>": {inner config}} (creating
-/// every level if absent) — the reduction_kind axis.  The inner config
-/// object a coreset_size axis wrote earlier in the canonical order is
-/// carried over under the new key, so the two axes compose (the size axis
-/// picks k, the kind axis picks the construction).  parse_sweep has already
-/// rejected a non-object base aggregator and a base reduction block.
-void set_reduction_kind_member(Members& members, std::string_view kind) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members reduction_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "reduction") reduction_members = existing.as_object();
-  }
-  Members inner;
-  if (!reduction_members.empty()) inner = reduction_members.front().second.as_object();
-  Members rekeyed;
-  set_member(rekeyed, kind, JsonValue::make_object(std::move(inner)));
-  set_member(aggregator_members, "reduction", JsonValue::make_object(std::move(rekeyed)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
+  return JsonValue::make_object(std::move(members));
 }
 
 std::string number_token(double value) { return util::format_json_number(value); }
-
-/// Run-id / CSV token: labels are free-form, ids must stay shell- and
-/// csv-friendly.
-std::string sanitize_token(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    out.push_back(keep ? c : '-');
-  }
-  return out.empty() ? std::string("-") : out;
-}
 
 std::string pad_index(std::size_t index, std::size_t total) {
   std::string digits = std::to_string(total == 0 ? 0 : total - 1);
@@ -371,6 +387,17 @@ std::string SweepRunResult::axis_value(std::string_view axis) const {
   return "";
 }
 
+const SweptAxis* SweepSpec::find_axis(std::string_view axis) const {
+  for (const auto& swept : axes) {
+    if (swept.name == axis) return &swept;
+  }
+  return nullptr;
+}
+
+SweptAxis* SweepSpec::find_axis(std::string_view axis) {
+  return const_cast<SweptAxis*>(std::as_const(*this).find_axis(axis));
+}
+
 void set_base_member(SweepSpec* spec, std::string_view key, JsonValue value) {
   ABFT_REQUIRE(spec->base.is_object(), "sweep base must be a scenario object");
   Members members = spec->base.as_object();
@@ -379,7 +406,7 @@ void set_base_member(SweepSpec* spec, std::string_view key, JsonValue value) {
 }
 
 SweepSpec parse_sweep(const JsonValue& json) {
-  require_known_keys(json, "sweep document", {"name", "threads", "base", "sweep"});
+  util::require_known_keys(json, "sweep", "sweep document", {"name", "threads", "base", "sweep"});
   reject_duplicate_keys(json, "sweep document");
   SweepSpec spec;
   spec.name = json.string_or("name", "");
@@ -393,151 +420,16 @@ SweepSpec parse_sweep(const JsonValue& json) {
 
   const JsonValue& sw = json.at("sweep");
   ABFT_REQUIRE(sw.is_object(), "the sweep block must be an object of axes");
-  require_known_keys(sw, "sweep block",
-                     {"aggregator", "mode", "precision", "f", "shards", "coreset_size",
-                      "reduction_kind", "quorum", "staleness_cap", "seed",
-                      "drop_probability", "participation", "straggler_probability", "faults",
-                      "variants"});
   reject_duplicate_keys(sw, "sweep block");
-
-  if (const auto* axis = sw.find("aggregator")) {
-    spec.aggregator = parse_string_axis(*axis, "aggregator");
-  }
-  if (const auto* axis = sw.find("mode")) {
-    spec.mode = parse_string_axis(*axis, "mode");
-    for (const auto& mode : spec.mode) agg::agg_mode_from_string(mode);  // early validation
-  }
-  if (const auto* axis = sw.find("precision")) {
-    spec.precision = parse_string_axis(*axis, "precision");
-    for (const auto& precision : spec.precision) {
-      agg::precision_from_string(precision);  // early validation
+  for (const auto& key : sw.keys()) row_of(key);  // rejects unknown axes
+  for (const auto& row : kAxisTable) {
+    if (const auto* list = sw.find(row.name)) {
+      reject_base_conflict(spec.base, row);
+      spec.axes.push_back({std::string(row.name), parse_values(row, *list)});
     }
   }
-  if (const auto* axis = sw.find("f")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value), "f axis entries must be"
-                   " non-negative integers");
-      spec.f.push_back(static_cast<int>(value));
-    }
-  }
-  if (const auto* axis = sw.find("shards")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 1.0 && value == std::floor(value),
-                   "shards axis entries must be integers >= 1");
-      spec.shards.push_back(static_cast<int>(value));
-    }
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the shards axis cannot combine with an aggregator axis — the rule strings "
-                 "would clobber the hierarchy object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr ||
-                     (base_aggregator->is_object() &&
-                      base_aggregator->find("hierarchy") != nullptr),
-                 "the shards axis needs the base aggregator to be a {\"hierarchy\": ...} "
-                 "object (or absent, defaulting to one)");
-  }
-  if (const auto* axis = sw.find("coreset_size")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "coreset_size axis entries must be non-negative integers (0 = auto)");
-      spec.coreset_size.push_back(static_cast<int>(value));
-    }
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the coreset_size axis cannot combine with an aggregator axis — the rule "
-                 "strings would clobber the reduction object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr || base_aggregator->is_object(),
-                 "the coreset_size axis needs the base aggregator to be an object "
-                 "(or absent, defaulting to the default rule)");
-  }
-  if (const auto* axis = sw.find("reduction_kind")) {
-    spec.reduction_kind = parse_string_axis(*axis, "reduction_kind");
-    for (const auto& kind : spec.reduction_kind) {
-      ABFT_REQUIRE(kind == "coreset" || kind == "sample",
-                   "reduction_kind axis entries must be \"coreset\" or \"sample\"");
-    }
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the reduction_kind axis cannot combine with an aggregator axis — the rule "
-                 "strings would clobber the reduction object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr || base_aggregator->is_object(),
-                 "the reduction_kind axis needs the base aggregator to be an object "
-                 "(or absent, defaulting to the default rule)");
-  }
-  if (const auto* axis = sw.find("quorum")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "quorum axis entries must be non-negative integers (0 = full roster)");
-      spec.quorum.push_back(static_cast<int>(value));
-    }
-  }
-  if (const auto* axis = sw.find("staleness_cap")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "staleness_cap axis entries must be non-negative integers");
-      spec.staleness_cap.push_back(static_cast<int>(value));
-    }
-  }
-  if (const auto* axis = sw.find("seed")) spec.seed = parse_seed_axis(*axis);
-  if (const auto* axis = sw.find("drop_probability")) {
-    spec.drop_probability = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("participation")) {
-    spec.participation = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("straggler_probability")) {
-    spec.straggler_probability = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("faults")) {
-    std::vector<std::string> labels;
-    for (const auto& preset : axis->as_array()) {
-      require_known_keys(preset, "fault preset", {"label", "faults"});
-      FaultPreset parsed{preset.at("label").as_string(), preset.at("faults")};
-      ABFT_REQUIRE(parsed.faults.is_array(), "a fault preset's faults must be an array");
-      labels.push_back(parsed.label);
-      spec.faults.push_back(std::move(parsed));
-    }
-    ABFT_REQUIRE(!spec.faults.empty(), "sweep axis lists must be non-empty");
-    reject_duplicate_labels(labels, "faults");
-  }
-  if (const auto* axis = sw.find("variants")) {
-    std::vector<std::string> labels;
-    for (const auto& variant : axis->as_array()) {
-      require_known_keys(variant, "variant", {"label", "patch"});
-      Variant parsed{variant.at("label").as_string(), variant.at("patch")};
-      ABFT_REQUIRE(parsed.patch.is_object(), "a variant's patch must be an object");
-      reject_duplicate_keys(parsed.patch, "variant patch \"" + parsed.label + "\"");
-      labels.push_back(parsed.label);
-      spec.variants.push_back(std::move(parsed));
-    }
-    ABFT_REQUIRE(!spec.variants.empty(), "sweep axis lists must be non-empty");
-    reject_duplicate_labels(labels, "variants");
-  }
-
-  const bool any_axis = !spec.aggregator.empty() || !spec.mode.empty() ||
-                        !spec.precision.empty() || !spec.f.empty() ||
-                        !spec.shards.empty() || !spec.coreset_size.empty() ||
-                        !spec.reduction_kind.empty() ||
-                        !spec.quorum.empty() || !spec.staleness_cap.empty() ||
-                        !spec.seed.empty() || !spec.drop_probability.empty() ||
-                        !spec.participation.empty() || !spec.straggler_probability.empty() ||
-                        !spec.faults.empty() || !spec.variants.empty();
-  ABFT_REQUIRE(any_axis, "the sweep block must sweep at least one axis");
-
-  reject_base_conflict(spec, "aggregator", !spec.aggregator.empty());
-  reject_base_conflict(spec, "mode", !spec.mode.empty());
-  reject_base_conflict(spec, "precision", !spec.precision.empty());
-  reject_base_conflict(spec, "f", !spec.f.empty());
-  reject_base_conflict(spec, "shards", !spec.shards.empty());
-  reject_base_conflict(spec, "coreset_size", !spec.coreset_size.empty());
-  reject_base_conflict(spec, "reduction_kind", !spec.reduction_kind.empty());
-  reject_base_conflict(spec, "quorum", !spec.quorum.empty());
-  reject_base_conflict(spec, "staleness_cap", !spec.staleness_cap.empty());
-  reject_base_conflict(spec, "seed", !spec.seed.empty());
-  reject_base_conflict(spec, "drop_probability", !spec.drop_probability.empty());
-  reject_base_conflict(spec, "participation", !spec.participation.empty());
-  reject_base_conflict(spec, "straggler_probability", !spec.straggler_probability.empty());
-  reject_base_conflict(spec, "faults", !spec.faults.empty());
+  ABFT_REQUIRE(!spec.axes.empty(), "the sweep block must sweep at least one axis");
+  reject_clobbering(spec.axes);
   return spec;
 }
 
@@ -547,147 +439,41 @@ SweepSpec load_sweep_file(const std::string& path) {
 
 std::vector<ExpandedRun> expand_sweep(const SweepSpec& spec) {
   ABFT_REQUIRE(spec.base.is_object(), "sweep base must be a scenario object");
-
-  // Active axes in canonical order; each knows how to apply one position
-  // onto the merged member list and to name its value.  apply returns the
-  // RAW human-readable value: it lands verbatim in the AxisCell (the CSV
-  // layer quotes commas and quotes per RFC 4180), and the expansion loop
-  // sanitizes it separately for the run-id token.  Sanitizing here used to
-  // mangle comma-bearing fault/variant labels in the CSV cells themselves.
-  struct Axis {
-    std::string name;
-    std::size_t size;
-    std::function<std::string(std::size_t, Members&)> apply;  // returns raw value
-  };
-  std::vector<Axis> axes;
-  if (!spec.aggregator.empty()) {
-    axes.push_back({"aggregator", spec.aggregator.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "aggregator", JsonValue::make_string(spec.aggregator[i]));
-                      return spec.aggregator[i];
-                    }});
-  }
-  if (!spec.mode.empty()) {
-    axes.push_back({"mode", spec.mode.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "mode", JsonValue::make_string(spec.mode[i]));
-                      return spec.mode[i];
-                    }});
-  }
-  if (!spec.precision.empty()) {
-    axes.push_back({"precision", spec.precision.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "precision", JsonValue::make_string(spec.precision[i]));
-                      return spec.precision[i];
-                    }});
-  }
-  if (!spec.f.empty()) {
-    axes.push_back({"f", spec.f.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "f", JsonValue::make_number(spec.f[i]));
-                      return std::to_string(spec.f[i]);
-                    }});
-  }
-  if (!spec.shards.empty()) {
-    axes.push_back({"shards", spec.shards.size(), [&](std::size_t i, Members& m) {
-                      set_hierarchy_member(m, "shards", spec.shards[i]);
-                      return std::to_string(spec.shards[i]);
-                    }});
-  }
-  if (!spec.coreset_size.empty()) {
-    axes.push_back({"coreset_size", spec.coreset_size.size(), [&](std::size_t i, Members& m) {
-                      set_coreset_member(m, spec.coreset_size[i]);
-                      return std::to_string(spec.coreset_size[i]);
-                    }});
-  }
-  if (!spec.reduction_kind.empty()) {
-    axes.push_back(
-        {"reduction_kind", spec.reduction_kind.size(), [&](std::size_t i, Members& m) {
-           set_reduction_kind_member(m, spec.reduction_kind[i]);
-           return spec.reduction_kind[i];
-         }});
-  }
-  if (!spec.quorum.empty()) {
-    axes.push_back({"quorum", spec.quorum.size(), [&](std::size_t i, Members& m) {
-                      set_async_member(m, "quorum", spec.quorum[i]);
-                      return std::to_string(spec.quorum[i]);
-                    }});
-  }
-  if (!spec.staleness_cap.empty()) {
-    axes.push_back({"staleness_cap", spec.staleness_cap.size(), [&](std::size_t i, Members& m) {
-                      set_async_member(m, "staleness_cap", spec.staleness_cap[i]);
-                      return std::to_string(spec.staleness_cap[i]);
-                    }});
-  }
-  if (!spec.seed.empty()) {
-    axes.push_back({"seed", spec.seed.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "seed",
-                                 JsonValue::make_number(static_cast<double>(spec.seed[i])));
-                      return std::to_string(spec.seed[i]);
-                    }});
-  }
-  if (!spec.drop_probability.empty()) {
-    axes.push_back(
-        {"drop_probability", spec.drop_probability.size(), [&](std::size_t i, Members& m) {
-           set_member(m, "drop_probability", JsonValue::make_number(spec.drop_probability[i]));
-           return number_token(spec.drop_probability[i]);
-         }});
-  }
-  if (!spec.participation.empty()) {
-    axes.push_back({"participation", spec.participation.size(), [&](std::size_t i, Members& m) {
-                      set_axes_member(m, "participation", spec.participation[i]);
-                      return number_token(spec.participation[i]);
-                    }});
-  }
-  if (!spec.straggler_probability.empty()) {
-    axes.push_back({"straggler_probability", spec.straggler_probability.size(),
-                    [&](std::size_t i, Members& m) {
-                      set_axes_member(m, "straggler_probability",
-                                      spec.straggler_probability[i]);
-                      return number_token(spec.straggler_probability[i]);
-                    }});
-  }
-  if (!spec.faults.empty()) {
-    axes.push_back({"faults", spec.faults.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "faults", spec.faults[i].faults);
-                      return spec.faults[i].label;
-                    }});
-  }
-  if (!spec.variants.empty()) {
-    axes.push_back({"variants", spec.variants.size(), [&](std::size_t i, Members& m) {
-                      for (const auto& [key, value] : spec.variants[i].patch.as_object()) {
-                        set_member(m, key, value);
-                      }
-                      return spec.variants[i].label;
-                    }});
-  }
-  ABFT_REQUIRE(!axes.empty(), "the sweep block must sweep at least one axis");
-
+  ABFT_REQUIRE(!spec.axes.empty(), "the sweep block must sweep at least one axis");
+  std::vector<const AxisRow*> rows;
   std::size_t total = 1;
-  for (const auto& axis : axes) {
-    ABFT_REQUIRE(axis.size > 0 && total <= 1000000 / axis.size,
-                 "sweep grid exceeds 1e6 runs — split the spec");
-    total *= axis.size;
+  for (const auto& axis : spec.axes) {
+    rows.push_back(&row_of(axis.name));
+    const std::size_t size = axis.values.size();
+    ABFT_REQUIRE(size > 0, "sweep axis lists must be non-empty");
+    ABFT_REQUIRE(total <= 1000000 / size, "sweep grid exceeds 1e6 runs — split the spec");
+    total *= size;
   }
 
   std::vector<ExpandedRun> runs;
   runs.reserve(total);
   for (std::size_t index = 0; index < total; ++index) {
     // Row-major decomposition: the LAST axis varies fastest.
-    std::vector<std::size_t> position(axes.size());
+    std::vector<std::size_t> position(spec.axes.size());
     std::size_t remainder = index;
-    for (std::size_t a = axes.size(); a-- > 0;) {
-      position[a] = remainder % axes[a].size;
-      remainder /= axes[a].size;
+    for (std::size_t a = spec.axes.size(); a-- > 0;) {
+      position[a] = remainder % spec.axes[a].values.size();
+      remainder /= spec.axes[a].values.size();
     }
 
     ExpandedRun run;
-    Members members = spec.base.as_object();
-    std::string run_id = pad_index(index, total);
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      std::string value = axes[a].apply(position[a], members);
-      run_id += '_' + axes[a].name + '=' + sanitize_token(value);
-      run.axes.push_back(AxisCell{axes[a].name, std::move(value)});
+    JsonValue merged = spec.base;
+    run.run_id = pad_index(index, total);
+    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+      // The cell keeps the raw label (the CSV layer quotes commas and
+      // quotes per RFC 4180); only the run-id token is sanitized.
+      const AxisValue& value = spec.axes[a].values[position[a]];
+      merged = write_at(&merged, path_of(*rows[a]), rows[a]->write, value.value);
+      run.run_id += '_' + spec.axes[a].name + '=' + sanitize_token(value.label);
+      run.axes.push_back(AxisCell{spec.axes[a].name, value.label});
     }
-    run.run_id = std::move(run_id);
     try {
-      run.spec = scenario::parse_scenario(JsonValue::make_object(std::move(members)));
+      run.spec = scenario::parse_scenario(merged);
     } catch (const std::exception& error) {
       throw std::invalid_argument("sweep run " + run.run_id + ": " + error.what());
     }

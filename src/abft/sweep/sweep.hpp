@@ -15,49 +15,45 @@
 //               pool worker, so sweep- and run-level parallelism compose
 //               safely but not multiplicatively
 //   base        a full ScenarioSpec object (scenario.hpp schema)
-//   sweep       list-valued axes, all optional, at least one required:
-//     aggregator             ["cwtm", "cge", ...]       registry rule names
-//     mode                   ["exact", "fast"]
-//     precision              ["f64", "f32"]    fast-lane compute precision;
-//                            rows pairing f32 with mode "exact" are
-//                            rejected by parse_scenario after the merge
-//     f                      [0, 1, 2]
-//     shards                 [1, 4, 16]        sets aggregator.hierarchy
-//                            .shards; the base aggregator must be (or be
-//                            absent and default to) a {"hierarchy": ...}
-//                            object, and combining with an aggregator axis
-//                            is rejected (the string axis would clobber
-//                            the hierarchy object)
-//     coreset_size           [16, 64, 0]       sets aggregator.reduction
-//                            .coreset.size (0 = the auto budget f+ceil(sqrt n));
-//                            the base aggregator must be an object or absent,
-//                            and an aggregator string axis is rejected for the
-//                            same clobbering reason as shards; composes with
-//                            the shards axis (per-shard coresets)
-//     reduction_kind         ["coreset", "sample"]    re-keys the reduction
-//                            object: {"reduction": {<kind>: {...}}} with the
-//                            inner config (size/strata where applicable)
-//                            carried over.  Same base-shape rules as
-//                            coreset_size, which it composes with (the size
-//                            axis writes the inner object first, the kind
-//                            axis re-keys it); the base must not already
-//                            set aggregator.reduction
-//     quorum                 [0, 3, 5]         sets async.quorum; the base
-//     staleness_cap          [0, 1, 2]         (resp. async.staleness_cap);
-//                            the base must run the async engine — either
-//                            axis creates the "async" sub-object if absent,
-//                            so a default quorum-or-deadline config applies
-//     seed                   [1, 2, 3] or {"from": s, "count": n}
-//     drop_probability       [0.0, 0.1]
-//     participation          [1.0, 0.8]        (spec "axes" sub-object keys)
-//     straggler_probability  [0.0, 0.1]
-//     faults                 [{"label": l, "faults": [fault objects]}, ...]
-//                            named fault presets; the whole preset replaces
-//                            the base "faults" array
-//     variants               [{"label": l, "patch": {spec keys}}, ...]
-//                            free-form spec patches for grid rows that are
-//                            not a single-key change (e.g. fig2's
-//                            "fault-free" = average + honest subset + f=0)
+//   sweep       list-valued axes, all optional, at least one required.  One
+//               table in sweep.cpp places every axis:
+//
+//     axis                   writes at (base spec path)          entries
+//     aggregator             aggregator                          registry rule names
+//     mode                   mode                                "exact" | "fast"
+//     precision              precision                           "f64" | "f32"
+//     f                      f                                   integers >= 0
+//     shards                 aggregator.hierarchy.shards         integers >= 1
+//     coreset_size           aggregator.reduction.coreset.size   integers >= 0 (0 = auto)
+//     reduction_kind         aggregator.reduction (re-keyed)     "coreset" | "sample"
+//     quorum                 async.quorum                        integers >= 0
+//     staleness_cap          async.staleness_cap                 integers >= 0
+//     seed                   seed                                [1, 2] or {"from": s, "count": n}
+//     drop_probability       drop_probability                    reals
+//     participation          axes.participation                  reals
+//     straggler_probability  axes.straggler_probability          reals
+//     faults                 faults                              [{"label": l, "faults": [...]}]
+//     variants               top-level keys (patch)              [{"label": l, "patch": {...}}]
+//
+// Writes create missing objects on the way down: an absent "async" block
+// becomes the default quorum-or-deadline config, an absent aggregator a
+// default-rule hierarchy or reduction.  reduction_kind re-keys the reduction
+// object to {<kind>: {inner config}}, carrying over the config a coreset_size
+// axis wrote first, so the two compose (as shards and coreset_size compose
+// into per-shard coresets).  A fault preset replaces the base "faults" array
+// wholesale; a variant patch replaces top-level keys, for grid rows that are
+// not a single-key change (e.g. fig2's "fault-free" = average + honest subset
+// + f=0).
+//
+// parse_sweep rejects unknown or duplicate keys, empty lists, duplicate
+// labels (compared after run-id sanitization), an axis whose path the base
+// already sets (the spec would contradict itself; variants are exempt — a
+// patch exists to override), a base member that is not an object where an
+// axis path descends through it, and an axis that sets a value at a strict
+// prefix of another swept axis's path (an aggregator axis would clobber the
+// object shards / coreset_size / reduction_kind write into).  Contradictions
+// between the merged keys (f32 with exact mode, a "rule" beside a
+// "hierarchy") are parse_scenario's to reject, at expansion, naming the run.
 //
 // Expansion contract: the grid is the cartesian product of the axes in the
 // canonical order above (aggregator outermost, variants innermost /
@@ -68,9 +64,8 @@
 // deterministic: a zero-padded grid index followed by axis=value tokens,
 // e.g. "003_aggregator=cge_faults=random".  Axis cells keep the author's
 // raw label (the CSV layer RFC-4180-quotes commas and quotes); only the
-// run-id token is sanitized.  An axis naming a key the base already sets
-// is rejected (the spec would silently contradict itself); unknown or
-// duplicate sweep keys are rejected.
+// run-id token is sanitized.  Integer and seed cells print as integers,
+// real cells at 12 significant digits.
 //
 // Determinism: expansion is a pure function of the spec, each expanded run
 // is bit-deterministic given its ScenarioSpec, and results land in
@@ -81,6 +76,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abft/scenario/scenario.hpp"
@@ -88,17 +84,17 @@
 
 namespace abft::sweep {
 
-/// One named fault assignment (stored as the raw JSON array so it merges
-/// into the base spec verbatim).
-struct FaultPreset {
+/// One entry of a swept axis: the JSON it writes into the base spec and its
+/// raw label (the CSV cell; sanitized, the run-id token).
+struct AxisValue {
   std::string label;
-  util::JsonValue faults;  // array of {"agent", "kind", "param"} objects
+  util::JsonValue value;
 };
 
-/// One named free-form spec patch.
-struct Variant {
-  std::string label;
-  util::JsonValue patch;  // object of scenario keys, applied last
+/// One swept axis: its schema name and its entries in grid order.
+struct SweptAxis {
+  std::string name;
+  std::vector<AxisValue> values;
 };
 
 struct SweepSpec {
@@ -108,23 +104,13 @@ struct SweepSpec {
   /// The base ScenarioSpec as JSON (axes merge into it textually, then the
   /// merged object goes through parse_scenario's full validation).
   util::JsonValue base;
+  /// The swept axes in canonical application order.
+  std::vector<SweptAxis> axes;
 
-  // Axes in canonical application order; empty = not swept.
-  std::vector<std::string> aggregator;
-  std::vector<std::string> mode;
-  std::vector<std::string> precision;
-  std::vector<int> f;
-  std::vector<int> shards;
-  std::vector<int> coreset_size;
-  std::vector<std::string> reduction_kind;
-  std::vector<int> quorum;
-  std::vector<int> staleness_cap;
-  std::vector<std::uint64_t> seed;
-  std::vector<double> drop_probability;
-  std::vector<double> participation;
-  std::vector<double> straggler_probability;
-  std::vector<FaultPreset> faults;
-  std::vector<Variant> variants;
+  /// The swept axis called `name`, or nullptr when the grid does not sweep
+  /// it (how the figure benches filter or read one axis).
+  [[nodiscard]] const SweptAxis* find_axis(std::string_view name) const;
+  [[nodiscard]] SweptAxis* find_axis(std::string_view name);
 };
 
 /// Parses a sweep document ({"name", "threads", "base", "sweep"}).  Throws

@@ -8,8 +8,9 @@
 // kernel off" escape hatch (=0) only worked under fast mode.  The contract
 // now: the env var wins in BOTH modes, is parsed per call, clamps to
 // [0, kRankKernelCapacity], and 0 disables the rank kernel outright;
-// without it fast mode takes the cached pure-measurement calibration and
-// exact mode pins the historical constant.
+// without it both modes route by the constant kRankKernelCutoff (fast mode
+// used to race the two kernels once per process, so its route — and CWTM's
+// summation order — could differ between two runs of the same binary).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,14 +57,12 @@ class ScopedCutoffEnv {
 
 TEST(RankKernelCutoff, DefaultsWithoutOverride) {
   ScopedCutoffEnv env(nullptr);
-  // Exact mode pins the historical constant; fast mode takes the cached
-  // calibration, which by construction lies in [0, capacity].
+  // Both modes route by the same constant: no timing decides a route.
   EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact),
-            agg::detail::kRankKernelExactCutoff);
-  const int fast = agg::detail::effective_rank_cutoff(agg::AggMode::fast);
-  EXPECT_EQ(fast, agg::detail::rank_kernel_cutoff());
-  EXPECT_GE(fast, 0);
-  EXPECT_LE(fast, agg::detail::kRankKernelCapacity);
+            agg::detail::kRankKernelCutoff);
+  EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast),
+            agg::detail::kRankKernelCutoff);
+  EXPECT_EQ(agg::detail::kRankKernelCutoff, 256);
 }
 
 TEST(RankKernelCutoff, ZeroForcesRankKernelOffInBothModes) {
@@ -93,22 +92,23 @@ TEST(RankKernelCutoff, OverrideWinsInBothModesAndClamps) {
 }
 
 TEST(RankKernelCutoff, ParsedPerCallNotBakedIntoTheCache) {
-  // Force the calibration cache to materialize with no override in scope,
-  // then flip the env var: the effective cutoff must follow immediately.
-  // Before the fix the first calibration consumed the env var and froze it
-  // for the process lifetime.
-  {
-    ScopedCutoffEnv env(nullptr);
-    (void)agg::detail::effective_rank_cutoff(agg::AggMode::fast);  // caches calibration
-  }
-  {
-    ScopedCutoffEnv env("0");
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast), 0);
-  }
-  {
-    ScopedCutoffEnv env(nullptr);
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast),
-              agg::detail::rank_kernel_cutoff());
+  // Route once with no override in scope, then flip the env var back and
+  // forth: the effective cutoff must follow on every call, in both modes.
+  // (An earlier version read the env var once and froze it for the process
+  // lifetime.)
+  for (const auto mode : {agg::AggMode::fast, agg::AggMode::exact}) {
+    {
+      ScopedCutoffEnv env(nullptr);
+      EXPECT_EQ(agg::detail::effective_rank_cutoff(mode), agg::detail::kRankKernelCutoff);
+    }
+    {
+      ScopedCutoffEnv env("0");
+      EXPECT_EQ(agg::detail::effective_rank_cutoff(mode), 0);
+    }
+    {
+      ScopedCutoffEnv env(nullptr);
+      EXPECT_EQ(agg::detail::effective_rank_cutoff(mode), agg::detail::kRankKernelCutoff);
+    }
   }
 }
 

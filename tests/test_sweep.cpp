@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "abft/sweep/sweep.hpp"
@@ -18,6 +20,14 @@ using namespace abft;
 
 sweep::SweepSpec parse(const std::string& text) {
   return sweep::parse_sweep(util::parse_json(text));
+}
+
+std::vector<std::uint64_t> seeds_of(const sweep::SweepSpec& spec) {
+  std::vector<std::uint64_t> seeds;
+  for (const auto& entry : spec.find_axis("seed")->values) {
+    seeds.push_back(static_cast<std::uint64_t>(entry.value.as_number()));
+  }
+  return seeds;
 }
 
 const char* kQuadraticGrid = R"({
@@ -77,8 +87,25 @@ TEST(SweepExpand, SeedRangeAndExplicitListAgree) {
              "schedule": {"kind": "harmonic", "scale": 0.4}},
     "sweep": {"aggregator": ["cwtm", "cge"], "f": [0, 1], "seed": [5, 6, 7]}
   })");
-  EXPECT_EQ(ranged.seed, listed.seed);
-  EXPECT_EQ(ranged.seed, (std::vector<std::uint64_t>{5, 6, 7}));
+  EXPECT_EQ(seeds_of(ranged), seeds_of(listed));
+  EXPECT_EQ(seeds_of(ranged), (std::vector<std::uint64_t>{5, 6, 7}));
+}
+
+// Seeds up to 2^53 must keep integer cells and run-id tokens: the 12
+// significant digits real axes print with would collapse neighbouring seeds
+// into one "9.00719925474e+15" token.
+TEST(SweepExpand, LargeSeedsKeepIntegerCells) {
+  const auto runs = sweep::expand_sweep(parse(R"({
+    "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 4, "dim": 2,
+             "iterations": 2, "schedule": {"kind": "harmonic", "scale": 0.4}},
+    "sweep": {"staleness_cap": [1000000], "seed": {"from": 9007199254740990, "count": 2}}
+  })"));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].run_id, "000_staleness_cap=1000000_seed=9007199254740990");
+  EXPECT_EQ(runs[1].run_id, "001_staleness_cap=1000000_seed=9007199254740991");
+  EXPECT_EQ(runs[0].axes[0].value, "1000000");
+  EXPECT_EQ(runs[1].axes[1].value, "9007199254740991");
+  EXPECT_EQ(runs[1].spec.seed, 9007199254740991u);
 }
 
 TEST(SweepExpand, FaultPresetsAndVariantPatchesApply) {
@@ -295,6 +322,23 @@ TEST(SweepParse, ShardsAxisRejectsConflictingAggregatorShapes) {
   // Other hierarchy keys in the base are fine alongside the axis.
   EXPECT_NO_THROW(parse(R"({"base": {"aggregator": {"hierarchy": {"leaf_rule": "krum"}}},
                             "sweep": {"shards": [2]}})"));
+}
+
+// A rule object has no hierarchy for the shards axis to write into: the
+// merged {"rule", "hierarchy"} aggregator is a contradiction, rejected while
+// the grid expands (so before any run executes), naming the run.
+TEST(SweepParse, ShardsAxisOverARuleObjectFailsAtExpansion) {
+  try {
+    sweep::expand_sweep(parse(R"({
+      "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 12, "dim": 2,
+               "iterations": 2, "aggregator": {"rule": "cge"}},
+      "sweep": {"shards": [2, 4]}
+    })"));
+    FAIL() << "expected the rule + hierarchy aggregator to be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("000_shards=2"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(SweepParse, CoresetSizeAxisValidates) {
@@ -641,15 +685,26 @@ TEST(SweepRun, CommittedSweepSpecsParseAndExpand) {
       {"sweep_fig2.json", 8},    {"sweep_table1.json", 4}, {"sweep_fig4.json", 6},
       {"sweep_fig5.json", 6},    {"sweep_epsilon.json", 36}, {"sweep_smoke.json", 8},
       {"sweep_async.json", 27},  {"sweep_hier_smoke.json", 4},
-      {"sweep_coreset_smoke.json", 4},
+      {"sweep_coreset_smoke.json", 4}, {"sweep_hier.json", 18},
+      {"sweep_precision_smoke.json", 20},
   };
+  std::set<std::string> listed;
   for (const auto& entry : specs) {
     SCOPED_TRACE(entry.file);
+    listed.insert(entry.file);
     sweep::SweepSpec spec;
     ASSERT_NO_THROW(spec = sweep::load_sweep_file(std::string(ABFT_SPEC_DIR "/") + entry.file));
     EXPECT_FALSE(spec.name.empty());
     EXPECT_EQ(sweep::expand_sweep(spec).size(), entry.grid);
   }
+  // Every committed sweep spec is checked: a new specs/sweep_*.json must
+  // join the list above.
+  std::set<std::string> on_disk;
+  for (const auto& file : std::filesystem::directory_iterator(ABFT_SPEC_DIR)) {
+    const std::string name = file.path().filename().string();
+    if (name.starts_with("sweep_") && file.path().extension() == ".json") on_disk.insert(name);
+  }
+  EXPECT_EQ(listed, on_disk);
 }
 
 }  // namespace
