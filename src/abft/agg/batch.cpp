@@ -33,98 +33,180 @@ T* row_ptr(T* rows, int i, int d) {
   return rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
 }
 
-/// Accumulates partial dot products <row_i, row_j> over the full chunk
-/// [k0, k0 + kChunk) into the packed triangle of `pairdist` for i in
-/// [i_begin, i_end), j > i.  The fixed-size lane array (one 512-bit vector
-/// of T) makes the inner product vectorizable without -ffast-math (each lane
-/// is an independent partial sum), and the compile-time k extent is what
-/// lets the compiler schedule the vector loop well — a runtime bound here
-/// costs ~3x.  Lanes, the cross-lane dot and the packed triangle all stay in
-/// T: for float each lane sums kChunk / 16 = 64 products, far inside the f32
-/// tolerance envelopes.
-///
-/// Kept out of line: inlined into the dispatch lambda, GCC 12 schedules this
-/// fixed-extent loop about 1.3x slower (exact mode, 50 x 4096 rows).
-template <typename T>
-[[gnu::noinline]] void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d,
-                                                  int i_begin, int i_end, int k0) {
-  constexpr int kLanes = detail::kLanes<T>;
-  for (int i = i_begin; i < i_end; ++i) {
-    const T* ri = row_ptr(rows, i, d);
-    T* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const T* rj = row_ptr(rows, j, d);
-      T lanes[kLanes] = {};
-      for (int k = k0; k < k0 + kChunk; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      T dot = 0;
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
+/// Rows per Gram tile: the tile driver pairs kTileRows consecutive rows i
+/// with each later row j, so row j's segment is loaded once for kTileRows
+/// pairs and the pairs run as independent accumulation chains.
+constexpr int kTileRows = 4;
 
-/// Runtime-bound variant for the final partial chunk [k0, k1).
-template <typename T>
-void accumulate_pair_dots_tail(const T* rows, T* pairdist, int n, int d, int i_begin,
-                               int i_end, int k0, int k1) {
-  constexpr int kLanes = detail::kLanes<T>;
-  for (int i = i_begin; i < i_end; ++i) {
-    const T* ri = row_ptr(rows, i, d);
-    T* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const T* rj = row_ptr(rows, j, d);
-      T lanes[kLanes] = {};
-      int k = k0;
-      for (; k + kLanes <= k1; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      T dot = 0;
-      for (; k < k1; ++k) dot += ri[k] * rj[k];
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
+// Pair-dot micro-kernels.  Each kernel's run<R>(a, b, out, len) takes R
+// pairs (a[r], b) over one d-segment of len elements — a full kChunk chunk
+// or the final partial one — and adds each pair's segment dot to its packed
+// cell (*out[r] += dot).  Every pair keeps its own accumulators, ascending
+// k and its own reduction, so a pair's result does not depend on R, on the
+// rows sharing its tile or on the thread partition.  The multiply-adds are
+// spelled out rather than left to the compiler's discretionary FMA
+// contraction, which can pick fused or separate operations per loop shape.
+// Lanes, the cross-lane dot and the packed triangle all stay in T: for
+// float each lane sums at most kChunk / 16 = 64 products, far inside the
+// f32 tolerance envelopes.
 
 #if defined(ABFT_AVX512)
-/// Relaxed-parity (AggMode::fast) AVX-512 variant of the full-chunk kernel:
-/// four independent zmm FMA accumulators cover the FMA latency chain,
-/// roughly doubling throughput over the auto-vectorized lane kernel.  The
-/// horizontal reduction order differs from the exact kernel's sequential
-/// lane sum, so this path is fast-mode only.
-template <typename T>
-void accumulate_pair_dots_chunk_avx512(const T* rows, T* pairdist, int n, int d, int i_begin,
-                                       int i_end, int k0) {
-  using Z = detail::Zmm<T>;
-  constexpr int kL = detail::kLanes<T>;
-  static_assert(kChunk % (4 * kL) == 0, "avx512 gram kernel consumes four vectors per step");
-  for (int i = i_begin; i < i_end; ++i) {
-    const T* ri = row_ptr(rows, i, d);
-    T* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const T* rj = row_ptr(rows, j, d);
-      auto acc0 = Z::zero();
-      auto acc1 = Z::zero();
-      auto acc2 = Z::zero();
-      auto acc3 = Z::zero();
-      for (int k = k0; k < k0 + kChunk; k += 4 * kL) {
-        acc0 = Z::fmadd(Z::load(ri + k), Z::load(rj + k), acc0);
-        acc1 = Z::fmadd(Z::load(ri + k + kL), Z::load(rj + k + kL), acc1);
-        acc2 = Z::fmadd(Z::load(ri + k + 2 * kL), Z::load(rj + k + 2 * kL), acc2);
-        acc3 = Z::fmadd(Z::load(ri + k + 3 * kL), Z::load(rj + k + 3 * kL), acc3);
+/// Exact-order kernel (exact mode, and every partial chunk): one
+/// accumulator vector per pair, then a lane-sequential sum 0 + l[0] + l[1]
+/// + ..., then the scalar remainder-first order of the partial chunk.  The
+/// arithmetic mirrors how GCC 12 vectorized the earlier single-pair loops
+/// at -march=native, so AVX-512 fills stay bitwise identical to them: fused
+/// multiply-adds throughout, except that the float lanes round the product
+/// before the add in every leading block of 16 vector steps (at least one
+/// step is left for the fused loop), and a remainder of at least half a
+/// vector rounds the products of its first half-vector.
+template <typename T, int kFixedLen = 0>
+struct Laned {
+  template <int R>
+  static void run(const T* const* a, const T* b, T* const* out, int len) {
+    using Z = detail::Zmm<T>;
+    constexpr int kL = detail::kLanes<T>;
+    if constexpr (kFixedLen > 0) len = kFixedLen;
+    const int steps = len / kL;
+    const int rounded_steps = std::is_same_v<T, float> && steps > 0 ? (steps - 1) / 16 * 16 : 0;
+    typename Z::V acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = Z::zero();
+    int k = 0;
+    for (; k < rounded_steps * kL; k += kL) {
+      const auto bk = Z::load(b + k);
+      for (int r = 0; r < R; ++r) acc[r] = Z::add(acc[r], Z::mul_rounded(Z::load(a[r] + k), bk));
+    }
+    for (; k < steps * kL; k += kL) {
+      const auto bk = Z::load(b + k);
+      for (int r = 0; r < R; ++r) acc[r] = Z::fmadd(Z::load(a[r] + k), bk, acc[r]);
+    }
+    const int rem = len - k;
+    const int rounded_rem = rem >= kL / 2 ? kL / 2 : 0;
+    for (int r = 0; r < R; ++r) {
+      T dot = 0;
+      int t = 0;
+      if (rounded_rem > 0) {
+        T prod[kL];
+        Z::store(prod, Z::mul_rounded(Z::load_first(a[r] + k, rounded_rem),
+                                      Z::load_first(b + k, rounded_rem)));
+        for (; t < rounded_rem; ++t) dot += prod[t];
       }
-      const T dot = Z::reduce(Z::add(Z::add(acc0, acc1), Z::add(acc2, acc3)));
-      prow[j - i - 1] += dot;
+      for (; t < rem; ++t) dot = std::fma(a[r][k + t], b[k + t], dot);
+      T lanes[kL];
+      Z::store(lanes, acc[r]);
+      for (int l = 0; l < kL; ++l) dot += lanes[l];
+      *out[r] += dot;
+    }
+  }
+};
+
+/// Relaxed-parity (AggMode::fast) full-chunk kernel: four independent
+/// accumulator vectors per pair cover the FMA latency chain; their tree
+/// reduction differs from the exact kernel's lane-sequential sum, so this
+/// kernel is fast-mode only.
+template <typename T>
+struct FastChunk {
+  template <int R>
+  static void run(const T* const* a, const T* b, T* const* out, int /*len == kChunk*/) {
+    using Z = detail::Zmm<T>;
+    constexpr int kL = detail::kLanes<T>;
+    static_assert(kChunk % (4 * kL) == 0, "the fast Gram kernel consumes four vectors per step");
+    typename Z::V acc[R][4];
+    for (int r = 0; r < R; ++r) {
+      for (int q = 0; q < 4; ++q) acc[r][q] = Z::zero();
+    }
+    for (int k = 0; k < kChunk; k += 4 * kL) {
+      for (int q = 0; q < 4; ++q) {
+        const auto bq = Z::load(b + k + q * kL);
+        for (int r = 0; r < R; ++r) acc[r][q] = Z::fmadd(Z::load(a[r] + k + q * kL), bq, acc[r][q]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      *out[r] += Z::reduce(Z::add(Z::add(acc[r][0], acc[r][1]), Z::add(acc[r][2], acc[r][3])));
+    }
+  }
+};
+#else
+/// a * b + c: fused where the target has a fast FMA, with a rounded product
+/// elsewhere.
+template <typename T>
+T madd(T a, T b, T c) {
+#if defined(FP_FAST_FMA) && defined(FP_FAST_FMAF)
+  return std::fma(a, b, c);
+#else
+  return c + a * b;
+#endif
+}
+
+/// Exact-order kernel: kLanes<T> partial sums per pair (each lane an
+/// independent chain, so the loop vectorizes without -ffast-math), the
+/// partial chunk's scalar remainder first, then the lanes in order.  The
+/// tile's pairs run one after another over the segment, row j's segment
+/// staying in L1 across them: interleaving the R pairs' lanes in one loop
+/// made GCC 12 shuffle them across vector registers (2-4x slower than this
+/// form at SSE2 and AVX2 on an AMD EPYC Zen 5 host).  The compile-time
+/// extent of full chunks is what lets the compiler schedule the vector loop
+/// well.
+template <typename T, int kFixedLen = 0>
+struct Laned {
+  template <int R>
+  static void run(const T* const* a, const T* b, T* const* out, int len) {
+    constexpr int kL = detail::kLanes<T>;
+    if constexpr (kFixedLen > 0) len = kFixedLen;
+    const int laned = len / kL * kL;
+    T lanes[R][kL] = {};
+    for (int r = 0; r < R; ++r) {
+      for (int k = 0; k < laned; k += kL) {
+        for (int l = 0; l < kL; ++l) lanes[r][l] = madd(a[r][k + l], b[k + l], lanes[r][l]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      T dot = 0;
+      for (int k = laned; k < len; ++k) dot = madd(a[r][k], b[k], dot);
+      for (int l = 0; l < kL; ++l) dot += lanes[r][l];
+      *out[r] += dot;
+    }
+  }
+};
+#endif  // ABFT_AVX512
+
+/// Tile driver for one d-segment [k0, k0 + len) of rows [i_begin, i_end):
+/// blocks of kTileRows consecutive rows i run their in-block pairs singly
+/// and every later row j as one kTileRows x 1 tile; a short last block runs
+/// pair by pair.
+template <typename Kernel, typename T>
+void tile_pairs(const T* rows, T* pairdist, int n, int d, int i_begin, int i_end, int k0,
+                int len) {
+  constexpr int R = kTileRows;
+  for (int i0 = i_begin; i0 < i_end; i0 += R) {
+    const int m = std::min(R, i_end - i0);
+    const T* a[R];
+    std::size_t run_start[R];
+    for (int r = 0; r < m; ++r) {
+      a[r] = row_ptr(rows, i0 + r, d) + k0;
+      run_start[r] = pair_row_start(i0 + r, n);
+    }
+    const auto cell = [&](int r, int j) { return pairdist + run_start[r] + (j - i0 - r - 1); };
+    for (int j = i0 + 1; j < n; ++j) {
+      const T* b = row_ptr(rows, j, d) + k0;
+      const int pairs = std::min(m, j - i0);  // rows i0 + r < j
+      if (pairs == R) {
+        T* out[R];
+        for (int r = 0; r < R; ++r) out[r] = cell(r, j);
+        Kernel::template run<R>(a, b, out, len);
+      } else {
+        for (int r = 0; r < pairs; ++r) {
+          T* out = cell(r, j);
+          Kernel::template run<1>(&a[r], b, &out, len);
+        }
+      }
     }
   }
 }
-#endif  // ABFT_AVX512
 
 /// Walks all d-chunks for rows [i_begin, i_end): full chunks through the
-/// fixed-extent kernel (the AVX-512 variant in fast mode, when the CPU has
-/// it), the remainder through the tail kernel.
+/// exact-order kernel (the fast kernel in fast mode on AVX-512 hosts), the
+/// remainder through the exact-order kernel.
 template <typename T>
 void accumulate_pair_dots(const T* rows, T* pairdist, int n, int d, int i_begin, int i_end,
                           bool use_avx512) {
@@ -133,13 +215,13 @@ void accumulate_pair_dots(const T* rows, T* pairdist, int n, int d, int i_begin,
   for (; k0 + kChunk <= d; k0 += kChunk) {
 #if defined(ABFT_AVX512)
     if (use_avx512) {
-      accumulate_pair_dots_chunk_avx512(rows, pairdist, n, d, i_begin, i_end, k0);
+      tile_pairs<FastChunk<T>>(rows, pairdist, n, d, i_begin, i_end, k0, kChunk);
       continue;
     }
 #endif
-    accumulate_pair_dots_chunk(rows, pairdist, n, d, i_begin, i_end, k0);
+    tile_pairs<Laned<T, kChunk>>(rows, pairdist, n, d, i_begin, i_end, k0, kChunk);
   }
-  if (k0 < d) accumulate_pair_dots_tail(rows, pairdist, n, d, i_begin, i_end, k0, d);
+  if (k0 < d) tile_pairs<Laned<T>>(rows, pairdist, n, d, i_begin, i_end, k0, d - k0);
 }
 
 /// Per-row squared norms, laned in T (lanes, tail and cross-lane sum).
@@ -197,7 +279,10 @@ void fill_pairwise_lane(AggregatorWorkspace& ws, const T* rows, int n, int d) {
     T* prow = packed + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
       const double scale = sqi + static_cast<double>(sqnorms[j]);
-      double d2 = std::max(0.0, scale - 2.0 * static_cast<double>(prow[j - i - 1]));
+      // A NaN (a row with a NaN coordinate, or inf - inf) is stored as +inf:
+      // std::max(0.0, NaN) would put the row at distance 0 from every row.
+      double d2 = scale - 2.0 * static_cast<double>(prow[j - i - 1]);
+      d2 = std::isnan(d2) ? std::numeric_limits<double>::infinity() : std::max(0.0, d2);
       if (d2 < kCancellationGuard * scale) {
         const T* ri = row_ptr(rows, i, d);
         const T* rj = row_ptr(rows, j, d);

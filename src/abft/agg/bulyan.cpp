@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -138,6 +139,11 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
         while (!ws.active[static_cast<std::size_t>(ids[s])]) ++s;
         score = ws.pair_sqdist(i, ids[s], n);
       }
+      // A row at +inf distance from the others (one with a NaN or +-Inf
+      // coordinate) turns its running sum into inf - inf = NaN, and a NaN
+      // best_score would keep the lead (no score compares below it); it
+      // ranks as +inf instead.
+      if (std::isnan(score)) score = std::numeric_limits<double>::infinity();
       if (best < 0 || score < best_score) {
         best = i;
         best_score = score;

@@ -159,6 +159,10 @@ inline void colmajor_sqdist(const T* cols, std::size_t stride, const T* center, 
 #if defined(ABFT_AVX512)
 /// One zmm register of T: the handful of AVX-512 operations the Gram and
 /// col-major distance kernels need, so each kernel has a single body.
+/// mul_rounded is a product the compiler cannot contract into a later add
+/// (the embedded-rounding form is opaque to FMA contraction; add/mul are
+/// plain vector arithmetic to it); load_first zero-fills past `count`
+/// (< lanes) elements without touching them.
 template <typename T>
 struct Zmm;
 
@@ -172,6 +176,14 @@ struct Zmm<double> {
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  static V mul_rounded(V a, V b) {
+    return _mm512_maskz_mul_round_pd(static_cast<__mmask8>(0xff), a, b,
+                                     _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static V load_first(const double* p, int count) {
+    return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << count) - 1), p);
+  }
+  static void store(double* p, V a) { _mm512_storeu_pd(p, a); }
   static double reduce(V a) { return _mm512_reduce_add_pd(a); }
   static void store_widened(double* out, V a) { _mm512_storeu_pd(out, a); }
 };
@@ -186,6 +198,14 @@ struct Zmm<float> {
   static V sub(V a, V b) { return _mm512_sub_ps(a, b); }
   static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  static V mul_rounded(V a, V b) {
+    return _mm512_maskz_mul_round_ps(static_cast<__mmask16>(0xffff), a, b,
+                                     _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static V load_first(const float* p, int count) {
+    return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << count) - 1), p);
+  }
+  static void store(float* p, V a) { _mm512_storeu_ps(p, a); }
   static float reduce(V a) { return _mm512_reduce_add_ps(a); }
   static void store_widened(double* out, V a) {
     _mm512_storeu_pd(out, _mm512_cvtps_pd(_mm512_castps512_ps256(a)));

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "abft/agg/average.hpp"
@@ -17,9 +19,12 @@
 #include "abft/agg/cwmed.hpp"
 #include "abft/agg/cwtm.hpp"
 #include "abft/agg/geomed.hpp"
+#include "abft/agg/hierarchy.hpp"
 #include "abft/agg/krum.hpp"
 #include "abft/agg/normclip.hpp"
 #include "abft/agg/registry.hpp"
+#include "abft/agg/simd_util.hpp"
+#include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
 #include "reference_rules.hpp"
 
@@ -653,6 +658,283 @@ TEST(BatchedParity, ClippedInputAdapterMatches) {
     return reference::clipped_input(reference::cwtm, g, f);
   };
   parity::expect_parity(oracle, rule, grads, 2, ws, "clipped-input");
+}
+
+// ------------------------------- Gram fill -----------------------------------
+//
+// The Gram fill (fill_pairwise_sqdist) runs register tiles of several row
+// pairs; every pair must still see the pair-at-a-time arithmetic restated
+// here: 1024-wide chunks of kLanes<T> lane sums (the fast four-accumulator
+// kernel's chunks in fast mode on AVX-512 builds), then the partial chunk,
+// remainder first, then its lanes in order, each chunk's dot added to the
+// cell in turn.
+namespace gram {
+
+constexpr int kChunk = 1024;
+
+/// c + a * b with the product rounded first (volatile keeps the compiler
+/// from contracting the two into an FMA).
+template <typename T>
+T unfused(T a, T b, T c) {
+  volatile T product = a * b;
+  return c + product;
+}
+
+template <typename T>
+T fused(T a, T b, T c) {
+  return std::fma(a, b, c);
+}
+
+/// The multiply-add of the portable kernels: fused where the target has a
+/// fast FMA.
+template <typename T>
+T madd(T a, T b, T c) {
+#if defined(FP_FAST_FMA) && defined(FP_FAST_FMAF)
+  return fused(a, b, c);
+#else
+  return unfused(a, b, c);
+#endif
+}
+
+/// Exact-order dot of one segment of len elements.
+template <typename T>
+T laned_dot(const T* a, const T* b, int len) {
+  constexpr int kL = agg::detail::kLanes<T>;
+  const int steps = len / kL;
+  T lanes[kL] = {};
+  T dot = 0;
+#if defined(ABFT_AVX512)
+  // AVX-512 builds: fused, except the float lanes' leading 16-step blocks
+  // and the first half-vector of a remainder of at least half a vector.
+  const int rounded_steps = std::is_same_v<T, float> && steps > 0 ? (steps - 1) / 16 * 16 : 0;
+  for (int s = 0; s < steps; ++s) {
+    for (int l = 0; l < kL; ++l) {
+      const T x = a[s * kL + l];
+      const T y = b[s * kL + l];
+      lanes[l] = s < rounded_steps ? unfused(x, y, lanes[l]) : fused(x, y, lanes[l]);
+    }
+  }
+  const int rem = len - steps * kL;
+  const int rounded_rem = rem >= kL / 2 ? kL / 2 : 0;
+  for (int t = 0; t < rem; ++t) {
+    const T x = a[steps * kL + t];
+    const T y = b[steps * kL + t];
+    dot = t < rounded_rem ? unfused(x, y, dot) : fused(x, y, dot);
+  }
+#else
+  for (int s = 0; s < steps; ++s) {
+    for (int l = 0; l < kL; ++l) lanes[l] = madd(a[s * kL + l], b[s * kL + l], lanes[l]);
+  }
+  for (int k = steps * kL; k < len; ++k) dot = madd(a[k], b[k], dot);
+#endif
+  for (int l = 0; l < kL; ++l) dot += lanes[l];
+  return dot;
+}
+
+#if defined(ABFT_AVX512)
+/// Fast-mode full chunk: four fused accumulator vectors, tree-reduced.
+template <typename T>
+T fast_chunk_dot(const T* a, const T* b) {
+  using Z = agg::detail::Zmm<T>;
+  constexpr int kL = agg::detail::kLanes<T>;
+  T acc[4][kL] = {};
+  for (int k = 0; k < kChunk; k += 4 * kL) {
+    for (int q = 0; q < 4; ++q) {
+      for (int l = 0; l < kL; ++l) {
+        acc[q][l] = fused(a[k + q * kL + l], b[k + q * kL + l], acc[q][l]);
+      }
+    }
+  }
+  const auto sum = Z::add(Z::add(Z::load(acc[0]), Z::load(acc[1])),
+                          Z::add(Z::load(acc[2]), Z::load(acc[3])));
+  return Z::reduce(sum);
+}
+#endif
+
+template <typename T>
+T pair_dot(const T* a, const T* b, int d, bool fast_chunks) {
+  (void)fast_chunks;
+  T cell = 0;
+  int k0 = 0;
+  for (; k0 + kChunk <= d; k0 += kChunk) {
+#if defined(ABFT_AVX512)
+    if (fast_chunks) {
+      cell += fast_chunk_dot(a + k0, b + k0);
+      continue;
+    }
+#endif
+    cell += laned_dot(a + k0, b + k0, kChunk);
+  }
+  if (k0 < d) cell += laned_dot(a + k0, b + k0, d - k0);
+  return cell;
+}
+
+/// Expected packed triangle of the lane the fill ran on; cells whose
+/// distance trips the cancellation guard (recomputed by direct differences)
+/// are NaN and skipped by the comparison.
+template <typename T>
+std::vector<T> expected_triangle(const agg::AggregatorWorkspace& ws, const T* rows,
+                                 const std::vector<T>& sqnorms, int n, int d) {
+  const bool fast_chunks = ws.mode == agg::AggMode::fast && agg::detail::avx512_available();
+  const double guard = std::is_same_v<T, float> ? 1e-3 : 1e-6;
+  std::vector<T> cells;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const T dot = pair_dot(rows + static_cast<std::size_t>(i) * d,
+                             rows + static_cast<std::size_t>(j) * d, d, fast_chunks);
+      const double scale = static_cast<double>(sqnorms[i]) + static_cast<double>(sqnorms[j]);
+      const double d2 = std::max(0.0, scale - 2.0 * static_cast<double>(dot));
+      cells.push_back(d2 < guard * scale ? std::numeric_limits<T>::quiet_NaN() : static_cast<T>(d2));
+    }
+  }
+  return cells;
+}
+
+struct FillLane {
+  const char* label;
+  agg::AggMode mode;
+  agg::Precision precision;
+};
+
+constexpr FillLane kFillLanes[] = {{"exact", agg::AggMode::exact, agg::Precision::f64},
+                           {"fast/f64", agg::AggMode::fast, agg::Precision::f64},
+                           {"fast/f32", agg::AggMode::fast, agg::Precision::f32}};
+
+/// Fills the Gram triangle of `batch` in one lane at one pool width and
+/// returns its raw bit patterns, widened so both lanes compare alike.
+std::vector<std::uint64_t> fill_bits(const agg::GradientBatch& batch, const FillLane& lane,
+                                     agg::ThreadPool* pool, agg::AggregatorWorkspace& ws) {
+  ws.mode = lane.mode;
+  ws.precision = lane.precision;
+  ws.pool = pool;
+  const bool f32 = ws.fill_pairwise_sqdist(batch);
+  EXPECT_EQ(f32, lane.precision == agg::Precision::f32) << lane.label;
+  std::vector<std::uint64_t> bits;
+  if (f32) {
+    for (float v : ws.f32.pairdist) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  } else {
+    for (double v : ws.f64.pairdist) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+}  // namespace gram
+
+TEST(GramFill, TiledMatchesPairOrder) {
+  util::Rng rng(2718);
+  agg::ThreadPool pool3(3);
+  for (const int n : {1, 2, 3, 4, 5, 7, 9, 200}) {
+    for (const int d : {1, 7, 8, 9, 64, 1023, 1024, 1025, 2000}) {
+      agg::GradientBatch batch(n, d);
+      for (int i = 0; i < n; ++i) {
+        auto row = batch.row(i);
+        for (auto& v : row) v = 0.1 * i + rng.normal();
+      }
+      for (const auto& lane : gram::kFillLanes) {
+        const std::string label =
+            std::string(lane.label) + " n=" + std::to_string(n) + " d=" + std::to_string(d);
+        for (agg::ThreadPool* pool : {static_cast<agg::ThreadPool*>(nullptr), &pool3}) {
+          agg::AggregatorWorkspace ws;
+          const auto bits = gram::fill_bits(batch, lane, pool, ws);
+          std::vector<std::uint64_t> want;
+          if (lane.precision == agg::Precision::f32) {
+            for (float v : gram::expected_triangle(ws, ws.f32.rows.data(), ws.f32.sqnorms, n, d)) {
+              want.push_back(std::isnan(v) ? ~0ull : std::bit_cast<std::uint32_t>(v));
+            }
+          } else {
+            for (double v : gram::expected_triangle(ws, batch.data(), ws.f64.sqnorms, n, d)) {
+              want.push_back(std::isnan(v) ? ~0ull : std::bit_cast<std::uint64_t>(v));
+            }
+          }
+          ASSERT_EQ(bits.size(), want.size()) << label;
+          int checked = 0;
+          for (std::size_t c = 0; c < bits.size(); ++c) {
+            if (want[c] == ~0ull) continue;  // cancellation-guard cell
+            ++checked;
+            ASSERT_EQ(bits[c], want[c]) << label << " cell " << c
+                                        << (pool != nullptr ? " (3 threads)" : "");
+          }
+          EXPECT_GE(2 * checked, static_cast<int>(bits.size())) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(GramFill, FastModePoolWidthInvariant) {
+  // Pool partitions split the row range mid-tile; a pair's cell must not
+  // depend on which rows shared its tile.
+  util::Rng rng(1618);
+  agg::ThreadPool pool3(3);
+  agg::ThreadPool pool4(4);
+  agg::ThreadPool pool16(16);
+  for (const int n : {5, 9, 37, 200}) {
+    for (const int d : {9, 1025, 2000}) {
+      agg::GradientBatch batch(n, d);
+      for (double& v : std::span<double>(batch.data(), static_cast<std::size_t>(n) * d)) {
+        v = rng.normal();
+      }
+      for (const auto& lane : gram::kFillLanes) {
+        if (lane.mode != agg::AggMode::fast) continue;
+        agg::AggregatorWorkspace ws;
+        const auto serial = gram::fill_bits(batch, lane, nullptr, ws);
+        for (agg::ThreadPool* pool : {&pool3, &pool4, &pool16}) {
+          EXPECT_EQ(gram::fill_bits(batch, lane, pool, ws), serial)
+              << lane.label << " n=" << n << " d=" << d << " width=" << pool->width();
+        }
+      }
+    }
+  }
+}
+
+TEST(GramFamily, NonFiniteRowsNeverSelected) {
+  // Byzantine rows carrying one NaN or +-Inf coordinate sit at +inf
+  // distance from every row (a NaN distance would otherwise clamp to 0 and
+  // win Krum's selection), so the Gram-based rules select only finite rows.
+  const int n = 40;
+  const int d = 600;
+  const int f = 3;  // within the 4-shard tree's tolerated bound
+  const int bad_rows[] = {1, 22};  // distinct shards of the 4-shard tree
+  agg::HierarchyConfig hier;
+  hier.shards = 4;
+  hier.leaf_rule = "krum";
+  hier.root_rule = "krum";
+  struct Rule {
+    std::string label;
+    std::unique_ptr<agg::GradientAggregator> agg;
+  };
+  std::vector<Rule> rules;
+  for (const char* name : {"krum", "multikrum", "bulyan"}) {
+    rules.push_back({name, agg::make_aggregator(name)});
+  }
+  rules.push_back({"hier4-krum", std::make_unique<agg::HierarchicalAggregator>(hier)});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    util::Rng rng(99);
+    agg::GradientBatch batch(n, d);
+    for (int i = 0; i < n; ++i) {
+      auto row = batch.row(i);
+      for (auto& v : row) v = 1.0 + rng.normal();
+    }
+    for (const int i : bad_rows) batch.row(i)[static_cast<std::size_t>(i * 7 % d)] = bad;
+    for (const auto& lane : gram::kFillLanes) {
+      for (const auto& rule : rules) {
+        const std::string label = rule.label + " " + lane.label + " bad=" + std::to_string(bad);
+        agg::AggregatorWorkspace ws;
+        ws.mode = lane.mode;
+        ws.precision = lane.precision;
+        Vector out;
+        rule.agg->aggregate_into(out, batch, f, ws);
+        ASSERT_EQ(out.dim(), d) << label;
+        for (int k = 0; k < d; ++k) ASSERT_TRUE(std::isfinite(out[k])) << label << " k=" << k;
+        for (const int i : bad_rows) {
+          const auto row = batch.row(i);
+          EXPECT_FALSE(std::equal(row.begin(), row.end(), out.coefficients().begin()))
+              << label << " selected bad row " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
