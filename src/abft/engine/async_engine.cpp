@@ -101,6 +101,7 @@ void AsyncRoundEngine::begin_round(int round) {
   starting_.clear();
   starting_honest_.clear();
   starting_faulty_.clear();
+  moments_.reset();
   const double window_open = static_cast<double>(round) * config_.async.deadline;
   for (int agent = 0; agent < roster_size(); ++agent) {
     if (computing_[static_cast<std::size_t>(agent)] != 0) continue;

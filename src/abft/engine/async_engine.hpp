@@ -136,9 +136,10 @@ class AsyncRoundEngine {
   }
 
   /// The omniscient adversary's view: the honest rows being computed this
-  /// round (complete once emit_honest has run).
-  [[nodiscard]] attack::HonestRowsView honest_view() const noexcept {
-    return {payload_.data(), dim_, starting_honest_};
+  /// round (complete once emit_honest has run) and their per-round moments
+  /// (reset by begin_round).
+  [[nodiscard]] attack::HonestRowsView honest_view() noexcept {
+    return {payload_.data(), dim_, starting_honest_, moments_};
   }
 
   /// Produce phase, honest starters: writer(agent, row) fills the agent's
@@ -222,6 +223,7 @@ class AsyncRoundEngine {
   /// Persistent n x d payload: row i is agent i's in-flight gradient (an
   /// agent has at most one row outstanding, so slots never collide).
   agg::GradientBatch payload_;
+  attack::HonestMoments moments_;
   agg::GradientBatch ingest_;
   /// 1 while the agent has a row in flight or pending, 0 when idle.
   std::vector<unsigned char> computing_;

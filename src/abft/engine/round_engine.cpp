@@ -65,6 +65,7 @@ void RoundEngine::begin_round(int round) {
   // drivers that run their own produce buffers (p2p) never pay for the
   // engine's n x d double buffer.
   payload_shaped_ = false;
+  moments_.reset();
   silent_.assign(present_.size(), 0);
   kept_ = 0;
 }

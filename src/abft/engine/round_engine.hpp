@@ -30,6 +30,7 @@
 //   emit_honest / emit_faulty     produce phase (parallel over agents); the
 //     or emit_present             faulty phase sees the honest rows through
 //                                 a HonestRowsView (omniscient adversary)
+//                                 carrying the engine's per-round moments
 //   deliver(transport)            delivery phase (serial: transports own
 //                                 ordered rng streams): straggled messages
 //                                 are lost but keep membership, undelivered
@@ -168,9 +169,10 @@ class RoundEngine {
   [[nodiscard]] agg::GradientBatch& payload() noexcept { return payload_; }
   [[nodiscard]] agg::GradientBatch& ingest() noexcept { return ingest_; }
 
-  /// The omniscient adversary's view: the honest payload rows of this round.
-  [[nodiscard]] attack::HonestRowsView honest_view() const noexcept {
-    return {payload_.data(), dim_, honest_rows_};
+  /// The omniscient adversary's view: the honest payload rows of this round
+  /// and their per-round moments (reset by begin_round).
+  [[nodiscard]] attack::HonestRowsView honest_view() noexcept {
+    return {payload_.data(), dim_, honest_rows_, moments_};
   }
 
   /// Produce phase, honest agents: writer(agent, row) fills the agent's
@@ -290,6 +292,7 @@ class RoundEngine {
   std::vector<unsigned char> silent_;
   bool payload_shaped_ = false;
   agg::GradientBatch payload_;
+  attack::HonestMoments moments_;
   agg::GradientBatch ingest_;
   int kept_ = 0;
 };

@@ -31,14 +31,20 @@ Box Box::centered_cube(int dim, double half_width) {
 linalg::Vector Box::project(const linalg::Vector& x) const {
   ABFT_REQUIRE(x.dim() == dim(), "projection dimension mismatch");
   linalg::Vector out = x;
-  for (int i = 0; i < dim(); ++i) out[i] = std::clamp(out[i], lower_[i], upper_[i]);
+  const auto v = out.coefficients();
+  const auto lo = lower_.coefficients();
+  const auto hi = upper_.coefficients();
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::clamp(v[i], lo[i], hi[i]);
   return out;
 }
 
 bool Box::contains(const linalg::Vector& x, double tol) const {
   ABFT_REQUIRE(x.dim() == dim(), "containment dimension mismatch");
-  for (int i = 0; i < dim(); ++i) {
-    if (x[i] < lower_[i] - tol || x[i] > upper_[i] + tol) return false;
+  const auto v = x.coefficients();
+  const auto lo = lower_.coefficients();
+  const auto hi = upper_.coefficients();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] < lo[i] - tol || v[i] > hi[i] + tol) return false;
   }
   return true;
 }

@@ -26,7 +26,8 @@ Vector ResidualSquaredCost::gradient(const Vector& x) const {
 void ResidualSquaredCost::gradient_into(const Vector& x, std::span<double> out) const {
   ABFT_REQUIRE(static_cast<int>(out.size()) == dim(), "gradient_into size mismatch");
   const double scale = -2.0 * (observation_ - linalg::dot(row_, x));
-  for (int k = 0; k < dim(); ++k) out[static_cast<std::size_t>(k)] = row_[k] * scale;
+  const auto a = row_.coefficients();
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = a[k] * scale;
 }
 
 double ResidualSquaredCost::gradient_lipschitz() const noexcept {
@@ -50,7 +51,11 @@ Vector SquaredDistanceCost::gradient(const Vector& x) const {
 void SquaredDistanceCost::gradient_into(const Vector& x, std::span<double> out) const {
   ABFT_REQUIRE(x.dim() == dim(), "dimension mismatch");
   ABFT_REQUIRE(static_cast<int>(out.size()) == dim(), "gradient_into size mismatch");
-  for (int k = 0; k < dim(); ++k) out[static_cast<std::size_t>(k)] = (x[k] - center_[k]) * 2.0;
+  // Spans, not Vector::operator[] (out of line and bounds-checked), so the
+  // loop vectorizes; per element it is gradient()'s (x - c) * 2 exactly.
+  const auto xs = x.coefficients();
+  const auto c = center_.coefficients();
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = (xs[k] - c[k]) * 2.0;
 }
 
 LeastSquaresCost::LeastSquaresCost(linalg::Matrix h, Vector y)

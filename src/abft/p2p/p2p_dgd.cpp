@@ -105,6 +105,9 @@ P2pDgdResult run_p2p_core(const std::vector<sim::AgentSpec>& roster, const P2pDg
   std::vector<int> sources;
   sources.reserve(roster.size());
   std::vector<int> source_slot(roster.size(), -1);
+  // The omniscient faults' per-round honest statistics, shared by every
+  // faulty source of the round.
+  attack::HonestMoments honest_moments;
 
   for (int t = 0; t < config.iterations; ++t) {
     eng.begin_round(t);
@@ -129,8 +132,11 @@ P2pDgdResult run_p2p_core(const std::vector<sim::AgentSpec>& roster, const P2pDg
     });
     // Identity row indices when all axes are off: HonestRowsView is always
     // index-based (see fault.hpp on why a dense fast path would break bit
-    // parity between drivers).
-    const attack::HonestRowsView honest_view(honest_batch.data(), dim, round_honest);
+    // parity between drivers).  The honest rows are new this round, so the
+    // moments memo starts stale.
+    honest_moments.reset();
+    const attack::HonestRowsView honest_view(honest_batch.data(), dim, round_honest,
+                                             honest_moments);
 
     // Delivered broadcasters of the round: present members whose message
     // makes the round's close.  Slot s of every node's decision batch holds

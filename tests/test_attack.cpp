@@ -28,9 +28,10 @@ struct ContextFixture {
       rows.push_back(static_cast<int>(rows.size()));
       block.insert(block.end(), g.coefficients().begin(), g.coefficients().end());
     }
-    const attack::RowAttackContext context{estimate, true_gradient.coefficients(),
-                                           attack::HonestRowsView(block.data(), dim, rows),
-                                           round};
+    attack::HonestMoments moments;
+    const attack::RowAttackContext context{
+        estimate, true_gradient.coefficients(),
+        attack::HonestRowsView(block.data(), dim, rows, moments), round};
     Vector out(dim);
     if (!fault.emit_into(out.coefficients(), context, rng)) return std::nullopt;
     return out;

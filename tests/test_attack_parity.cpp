@@ -1,10 +1,13 @@
 // Attack-path parity: every fault behaviour's emit_into must write the same
 // payload bit for bit, with the same rng stream consumption, whether its
 // output row aliases the true gradient (how the batched drivers call it) or
-// is a separate buffer; and the honest-row view's indirection must not
-// matter.
+// is a separate buffer; the honest-row view's indirection must not matter;
+// and an omniscient fault reading a round's shared moments memo must write
+// what it writes from a memo of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -30,6 +33,7 @@ struct ParityFixture {
   Vector true_gradient;
   agg::GradientBatch payloads;  // honest rows at 0..h-1, faulty row last
   std::vector<int> honest_rows;
+  attack::HonestMoments moments;
 
   explicit ParityFixture(int honest_count = 4) {
     util::Rng rng(2024);
@@ -48,9 +52,13 @@ struct ParityFixture {
     }
   }
 
-  [[nodiscard]] RowAttackContext row_context(std::span<const double> tg, int round = 3) const {
-    return RowAttackContext{estimate, tg,
-                            HonestRowsView(payloads.data(), payloads.cols(), honest_rows), round};
+  /// A context over the honest rows with a stale memo, so every call
+  /// recomputes the round's moments.
+  [[nodiscard]] RowAttackContext row_context(std::span<const double> tg, int round = 3) {
+    moments.reset();
+    return RowAttackContext{
+        estimate, tg, HonestRowsView(payloads.data(), payloads.cols(), honest_rows, moments),
+        round};
   }
 };
 
@@ -146,11 +154,62 @@ TEST(AttackParity, RowIndirectionInvariant) {
   std::vector<double> out_b(static_cast<std::size_t>(fx.d));
   const std::vector<double> tg(fx.true_gradient.coefficients().begin(),
                                fx.true_gradient.coefficients().end());
-  const HonestRowsView identity(fx.payloads.data(), fx.d, fx.honest_rows);
-  const HonestRowsView indirect(scattered.data(), fx.d, scattered_rows);
+  attack::HonestMoments identity_moments;
+  attack::HonestMoments indirect_moments;
+  const HonestRowsView identity(fx.payloads.data(), fx.d, fx.honest_rows, identity_moments);
+  const HonestRowsView indirect(scattered.data(), fx.d, scattered_rows, indirect_moments);
   ASSERT_TRUE(fault.emit_into(out_a, RowAttackContext{fx.estimate, tg, identity, 0}, rng_a));
   ASSERT_TRUE(fault.emit_into(out_b, RowAttackContext{fx.estimate, tg, indirect, 0}, rng_b));
   EXPECT_EQ(out_a, out_b);
+}
+
+TEST(AttackParity, SharedMomentsMatchFreshPass) {
+  // Agents of all three omniscient kinds read one round's memo, interleaved,
+  // so later readers get statistics an earlier reader of another kind
+  // computed.  Each output must equal, bit for bit, the same fault's output
+  // from a fresh memo.  The dimensions straddle the 128-coordinate block.
+  const attack::LittleIsEnoughFault lie(1.5);
+  const attack::MeanReverseFault reverse(2.0);
+  const attack::MimicSmallestFault mimic;
+  const std::array<const FaultModel*, 3> kinds{&lie, &reverse, &mimic};
+  constexpr int kAgents = 7;
+  for (const int d : {1, 7, 127, 128, 129, 2000, 2001}) {
+    for (const int h : {0, 1, 3, 180}) {
+      util::Rng rng(static_cast<std::uint64_t>(1000 * d + h));
+      agg::GradientBatch block(std::max(1, h), d);
+      std::vector<int> rows;
+      for (int i = 0; i < h; ++i) {
+        for (double& v : block.row(i)) v = rng.normal(0.1 * i, 2.0);
+        rows.push_back(i);
+      }
+      const Vector estimate(d);
+      attack::HonestMoments shared;
+      const HonestRowsView shared_view(block.data(), d, rows, shared);
+      for (int a = 0; a < kAgents; ++a) {
+        const FaultModel& fault = *kinds[static_cast<std::size_t>(a) % kinds.size()];
+        std::vector<double> tg(static_cast<std::size_t>(d));
+        for (double& v : tg) v = rng.normal(0.0, 1.0);
+        attack::HonestMoments fresh;
+        const HonestRowsView fresh_view(block.data(), d, rows, fresh);
+        std::vector<double> from_shared(tg.size());
+        std::vector<double> from_fresh(tg.size());
+        util::Rng shared_rng(static_cast<std::uint64_t>(a));
+        util::Rng fresh_rng(static_cast<std::uint64_t>(a));
+        ASSERT_TRUE(fault.emit_into(from_shared, RowAttackContext{estimate, tg, shared_view, 0},
+                                    shared_rng));
+        ASSERT_TRUE(fault.emit_into(from_fresh, RowAttackContext{estimate, tg, fresh_view, 0},
+                                    fresh_rng));
+        int mismatches = 0;
+        for (std::size_t k = 0; k < tg.size(); ++k) {
+          if (std::bit_cast<std::uint64_t>(from_shared[k]) !=
+              std::bit_cast<std::uint64_t>(from_fresh[k])) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << fault.name() << " d=" << d << " h=" << h << " agent " << a;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // streams, so the partition must never leak into the results.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "abft/agg/registry.hpp"
@@ -159,6 +160,93 @@ TEST(Determinism, P2pThreadCountInvariant) {
       expect_identical_traces(serial.traces[k], parallel.traces[k],
                               authenticated ? "p2p-auth" : "p2p-om");
     }
+  }
+}
+
+// --------------------------- omniscient rosters -----------------------------
+
+/// Honest quadratic agents plus six omniscient faults of all three kinds
+/// (two each of little-is-enough, mean-reverse and mimic-smallest), which
+/// share each round's honest-moments memo.  d = 130 spans two of the
+/// memo's 128-coordinate blocks.
+struct OmniscientRoster {
+  static constexpr int kDim = 130;
+  std::vector<opt::SquaredDistanceCost> costs;
+  const attack::LittleIsEnoughFault lie{1.1};
+  const attack::MeanReverseFault reverse{1.5};
+  const attack::MimicSmallestFault mimic;
+  std::vector<sim::AgentSpec> roster;
+
+  explicit OmniscientRoster(int n) {
+    util::Rng rng(77);
+    for (int i = 0; i < n; ++i) {
+      Vector center(kDim);
+      for (int k = 0; k < kDim; ++k) center[k] = rng.normal(0.5 * (i % 5), 2.0);
+      costs.emplace_back(center);
+    }
+    std::vector<const opt::CostFunction*> cost_ptrs;
+    for (const auto& c : costs) cost_ptrs.push_back(&c);
+    roster = sim::honest_roster(cost_ptrs);
+    const std::array<const attack::FaultModel*, 3> kinds{&lie, &reverse, &mimic};
+    for (int b = 0; b < 6; ++b) {
+      sim::assign_fault(roster, 1 + 3 * b, *kinds[static_cast<std::size_t>(b) % kinds.size()]);
+    }
+  }
+};
+
+sim::Trace run_omniscient_dgd(int agg_threads, bool async) {
+  static const opt::HarmonicSchedule schedule(0.4);
+  OmniscientRoster fx(22);
+  sim::DgdConfig config{Vector(OmniscientRoster::kDim),
+                        opt::Box::centered_cube(OmniscientRoster::kDim, 50.0),
+                        &schedule,
+                        async ? 80 : 30,
+                        6,
+                        4321};
+  config.agg_threads = agg_threads;
+  if (async) {
+    engine::AsyncConfig a;
+    a.quorum = 15;
+    a.staleness_cap = 2;
+    a.arrival.kind = "exponential";
+    a.arrival.scale = 0.7;
+    config.async = a;
+  }
+  sim::DgdSimulation simulation(std::move(fx.roster), std::move(config));
+  const auto aggregator = agg::make_aggregator("cwtm");
+  return simulation.run(*aggregator);
+}
+
+TEST(Determinism, OmniscientDgdThreadCountInvariant) {
+  for (const bool async : {false, true}) {
+    const auto serial = run_omniscient_dgd(1, async);
+    const auto parallel = run_omniscient_dgd(4, async);
+    expect_identical_traces(serial, parallel, async ? "omniscient async" : "omniscient dgd");
+  }
+}
+
+TEST(Determinism, OmniscientP2pThreadCountInvariant) {
+  // Authenticated broadcast: n = 20 > 2f at f = 6 (Oral Messages would need
+  // n > 3f and f + 1 = 7 recursion levels).
+  static const opt::HarmonicSchedule schedule(0.4);
+  const auto run = [](int agg_threads) {
+    OmniscientRoster fx(20);
+    p2p::P2pDgdConfig config{Vector(OmniscientRoster::kDim),
+                             opt::Box::centered_cube(OmniscientRoster::kDim, 50.0),
+                             &schedule,
+                             8,
+                             6,
+                             99,
+                             agg_threads};
+    const auto aggregator = agg::make_aggregator("cwtm");
+    return p2p::run_p2p_dgd_authenticated(fx.roster, config, *aggregator);
+  };
+  const auto serial = run(1);
+  const auto parallel = run(4);
+  EXPECT_EQ(serial.broadcast_messages, parallel.broadcast_messages);
+  ASSERT_EQ(serial.traces.size(), parallel.traces.size());
+  for (std::size_t k = 0; k < serial.traces.size(); ++k) {
+    expect_identical_traces(serial.traces[k], parallel.traces[k], "omniscient p2p");
   }
 }
 

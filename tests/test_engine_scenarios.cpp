@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "abft/agg/registry.hpp"
+#include "abft/attack/adaptive_faults.hpp"
 #include "abft/attack/simple_faults.hpp"
+#include "abft/engine/async_engine.hpp"
 #include "abft/engine/round_engine.hpp"
 #include "abft/learn/dataset.hpp"
 #include "abft/learn/dsgd.hpp"
@@ -420,6 +422,86 @@ TEST(EngineDeliver, SilentMarkDoesNotLeakIntoEmitPresentRounds) {
   EXPECT_TRUE(silent_agents.empty()) << "round-0 silent mark leaked into round 1";
   for (int row = 0; row < 3; ++row) {
     EXPECT_EQ(eng.ingest().row(row)[0], 10.0 + row) << "row " << row;
+  }
+}
+
+// -------------------- per-round honest moments ------------------------------
+
+/// Roster of the moments tests: agents 0-3 honest, 4 mean-reverse, 5 mimic.
+const std::vector<unsigned char> kMomentsRoster{0, 0, 0, 0, 1, 1};
+
+/// Honest agent a's gradient in round t: (v, -v) with v = a + 1 in round 0
+/// and 10 - 2a in round 1, so the column mean moves from 2.5 to 7 and the
+/// smallest-norm row from agent 0 to agent 3.
+double moments_value(int agent, int round) {
+  return round == 0 ? agent + 1.0 : 10.0 - 2.0 * agent;
+}
+
+/// The faulty agents' emitter of the moments tests: agent 4 runs
+/// mean-reverse (scale 1), agent 5 mimic-smallest, and each records the
+/// first coordinate it sent in sent[agent].
+struct MomentsEmitter {
+  const attack::MeanReverseFault reverse{1.0};
+  const attack::MimicSmallestFault mimic;
+  const Vector estimate{0.0, 0.0};
+  std::vector<double> sent = std::vector<double>(kMomentsRoster.size(), 0.0);
+
+  bool emit(int agent, std::span<double> row, const attack::HonestRowsView& view, int round) {
+    const attack::FaultModel& fault =
+        agent == 4 ? static_cast<const attack::FaultModel&>(reverse) : mimic;
+    util::Rng rng(1);
+    const bool ok = fault.emit_into(row, attack::RowAttackContext{estimate, row, view, round}, rng);
+    sent[static_cast<std::size_t>(agent)] = row[0];
+    return ok;
+  }
+};
+
+TEST(EngineMoments, RoundEngineRecomputesWhenHonestRowsChange) {
+  // The engine owns the view's memo: round 1's honest rows differ from
+  // round 0's, so the faults must see round 1's mean and smallest row, not
+  // the statistics memoized in round 0.
+  engine::RoundEngineConfig config;
+  config.threads = 2;
+  engine::RoundEngine eng(kMomentsRoster, 2, config);
+  eng.reset(2);
+  MomentsEmitter emitter;
+  for (int t = 0; t < 2; ++t) {
+    eng.begin_round(t);
+    eng.emit_honest([t](int agent, std::span<double> row) {
+      row[0] = moments_value(agent, t);
+      row[1] = -row[0];
+    });
+    eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView& view) {
+      return emitter.emit(agent, row, view, t);
+    });
+    EXPECT_EQ(emitter.sent[4], t == 0 ? -2.5 : -7.0) << "mean-reverse, round " << t;
+    EXPECT_EQ(emitter.sent[5], t == 0 ? 1.0 : 4.0) << "mimic-smallest, round " << t;
+  }
+}
+
+TEST(EngineMoments, AsyncEngineRecomputesWhenHonestRowsChange) {
+  // Fixed durations inside the window and a full quorum: every agent starts
+  // afresh each round, so round 1's honest rows replace round 0's.
+  engine::AsyncEngineConfig config;
+  config.threads = 2;
+  config.async.arrival.kind = "fixed";
+  config.async.arrival.scale = 0.5;
+  engine::AsyncRoundEngine eng(kMomentsRoster, 2, config);
+  eng.reset(2);
+  MomentsEmitter emitter;
+  for (int t = 0; t < 2; ++t) {
+    eng.begin_round(t);
+    ASSERT_EQ(eng.starting_agents().size(), kMomentsRoster.size()) << "round " << t;
+    eng.emit_honest([t](int agent, std::span<double> row) {
+      row[0] = moments_value(agent, t);
+      row[1] = -row[0];
+    });
+    eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView& view) {
+      return emitter.emit(agent, row, view, t);
+    });
+    EXPECT_EQ(emitter.sent[4], t == 0 ? -2.5 : -7.0) << "mean-reverse, round " << t;
+    EXPECT_EQ(emitter.sent[5], t == 0 ? 1.0 : 4.0) << "mimic-smallest, round " << t;
+    EXPECT_EQ(eng.collect(t), static_cast<int>(kMomentsRoster.size())) << "round " << t;
   }
 }
 

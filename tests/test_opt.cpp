@@ -3,7 +3,11 @@
 // step schedules, and the projected-gradient reference solver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <vector>
 
 #include "abft/opt/box.hpp"
 #include "abft/opt/cost.hpp"
@@ -53,6 +57,33 @@ TEST(SquaredDistanceCost, GradientMatchesFiniteDifferences) {
   const opt::SquaredDistanceCost q(Vector{0.5, 0.25, -1.0});
   const Vector x{1.0, 2.0, 3.0};
   EXPECT_TRUE(linalg::approx_equal(q.gradient(x), opt::numerical_gradient(q, x), 1e-5));
+}
+
+TEST(QuadraticCosts, GradientIntoMatchesGradientBitwise) {
+  // gradient_into is the produce phase's row kernel; per element it must be
+  // exactly gradient(), at lengths below, at and around a vector width.
+  abft::util::Rng rng(23);
+  for (const int d : {1, 7, 8, 9, 2000}) {
+    Vector x(d);
+    Vector a(d);
+    for (int k = 0; k < d; ++k) {
+      x[k] = rng.normal(0.0, 3.0);
+      a[k] = rng.normal(1.0, 2.0);
+    }
+    const opt::SquaredDistanceCost distance(a);
+    const opt::ResidualSquaredCost residual(a, rng.normal(0.0, 5.0));
+    for (const opt::CostFunction* cost :
+         std::initializer_list<const opt::CostFunction*>{&distance, &residual}) {
+      const Vector expected = cost->gradient(x);
+      std::vector<double> out(static_cast<std::size_t>(d));
+      cost->gradient_into(x, out);
+      for (int k = 0; k < d; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[static_cast<std::size_t>(k)]),
+                  std::bit_cast<std::uint64_t>(expected[k]))
+            << "d=" << d << " coordinate " << k;
+      }
+    }
+  }
 }
 
 TEST(GeneralQuadraticCost, ValueGradientAndValidation) {
